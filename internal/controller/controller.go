@@ -208,6 +208,7 @@ type Controller struct {
 	opts     Options
 	applied  int
 	baseline int
+	saved    int // Baseline of the last checkpoint saveJournal wrote
 	inflight *InFlight
 	// inv is the build-tagged invariant shadow: empty (and free) in
 	// regular builds, a journal-sequence and prepared-copy checker
@@ -299,6 +300,7 @@ func Load(path string, act Actuator, opts Options) (*Controller, error) {
 		opts:     opts.withDefaults(),
 		applied:  ck.Applied,
 		baseline: ck.Baseline,
+		saved:    ck.Baseline,
 		inflight: ck.InFlight,
 	}
 	c.inv.init(ck.Applied, ck.InFlight)
@@ -374,14 +376,17 @@ func (c *Controller) saveJournal() error {
 	// The invariant shadow audits every checkpoint the controller would
 	// persist, even when journaling is disabled.
 	c.inv.checkJournal(c.applied, c.inflight)
-	if c.journal == "" {
-		return nil
+	if c.journal != "" {
+		data, err := c.checkpointLocked().Encode()
+		if err != nil {
+			return err
+		}
+		if err := writeFileSync(c.journal, data); err != nil {
+			return err
+		}
 	}
-	data, err := c.checkpointLocked().Encode()
-	if err != nil {
-		return err
-	}
-	return writeFileSync(c.journal, data)
+	c.saved = c.baseline
+	return nil
 }
 
 // Apply consumes one mutation and runs a reconcile step. The returned
@@ -548,6 +553,16 @@ func (c *Controller) reconcile(mut *Mutation) (*StepReport, error) {
 		curDamage = pick.damage
 		witness = pick.witness
 		moved++
+	}
+
+	// A step that journaled no phase (nothing moved) still owes the
+	// journal its re-evaluated baseline: a controller reloaded from the
+	// previous checkpoint would otherwise report the weaker guarantee of
+	// an earlier step.
+	if c.baseline != c.saved {
+		if err := c.saveJournal(); err != nil {
+			return rep, err
+		}
 	}
 
 	outcome, reason := OutcomeClean, ""

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -497,5 +498,47 @@ func TestControllerJournalRoundTrip(t *testing.T) {
 	}
 	if w := topo.Weight(6); w != 3 {
 		t.Fatalf("reloaded weight(6) = %d, want 3", w)
+	}
+}
+
+// TestControllerJournalsReevaluatedBaseline pins the journaled
+// guarantee: a step lowers the damage, then a weight mutation's step
+// re-evaluates that lower baseline and moves nothing, so no phase write
+// carries it. The step must still journal it — the reloaded checkpoint
+// re-encodes byte for byte to the live one.
+func TestControllerJournalsReevaluatedBaseline(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "ck.json")
+	mem := NewMemActuator(ringPlacement(t, 8, 3, 12))
+	c, _ := newTestController(t, mem, 1, journal)
+	first, err := c.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Moves) == 0 || first.Damage >= first.Baseline {
+		t.Fatalf("fixture: first step moved %d and took damage %d -> %d, want a damage-lowering move",
+			len(first.Moves), first.Baseline, first.Damage)
+	}
+	rep, err := c.Apply(Mutation{Kind: MutWeight, Node: 6, Weight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Moves) != 0 || rep.Baseline != first.Damage {
+		t.Fatalf("fixture: weight step moved %d with baseline %d, want no move at baseline %d",
+			len(rep.Moves), rep.Baseline, first.Damage)
+	}
+	ck, err := LoadCheckpoint(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Checkpoint().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journaled checkpoint (Baseline %d) differs from the live one (Baseline %d)", ck.Baseline, c.Checkpoint().Baseline)
 	}
 }

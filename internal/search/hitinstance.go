@@ -54,7 +54,9 @@ type candHit struct {
 // The instance maintains the ResidualBounder invariants incrementally:
 // when an object's failed-replica count crosses S, every candidate
 // holding replicas of it (via the inverted index) sheds that dead load
-// from its residual, and symmetrically on the way back down. It also
+// from its residual, and symmetrically on the way back down. The same
+// walks keep the marginal-gain ledger (see Gains) equal to Marginal for
+// every candidate, so the final-level scan costs O(m). It also
 // implements Deduper over adjacent identical CSR runs.
 type HitInstance struct {
 	count int   // attack-set size K
@@ -70,6 +72,8 @@ type HitInstance struct {
 	objHits  []candHit // flat inverted CSR: object j owns objHits[objOffs[j]:objOffs[j+1]]
 	objCands []int32   // C = 1 fast strip of objHits (candidate ids only)
 	objOffs  []int32   // len = numObjects+1
+	bandLo   int32     // lowest gain-band start above 0: S − max{C < S} over all hits (S if none)
+	gain0    []int     // per candidate: clean-state Marginal (Σ w over hits with C >= S)
 
 	// Weighted damage (nil = unit weights). Immutable between
 	// SetWeights calls, shared by Clone.
@@ -89,6 +93,7 @@ type HitInstance struct {
 	track     bool    // residual upkeep enabled (see EnableResidual)
 	prepared  bool    // residual baselines + inverted index built (lazy)
 	resid     []int64 // per-candidate load restricted to live objects
+	gain      []int   // per-candidate Marginal at the current state (see Gains)
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
@@ -205,13 +210,16 @@ func (in *HitInstance) prepare() {
 	in.residAll = in.fullSum
 	in.deadSpent = 0
 	in.buildInverted()
+	in.gain = append(in.gain[:0], in.gain0...)
 	in.prepared = true
 	in.invStale = false
 }
 
 // buildInverted (re)derives the object → candidate index from the
-// current CSR runs: count, prefix-sum, fill. Called by prepare and by
-// EnableResidual when ApplyMove left the index stale.
+// current CSR runs — count, prefix-sum, fill — together with the gain
+// ledger's clean-state baseline gain0 and per-object band floors.
+// Called by prepare and by EnableResidual when ApplyMove left the
+// index stale.
 func (in *HitInstance) buildInverted() {
 	m := in.Len()
 	for i := range in.objOffs {
@@ -231,12 +239,27 @@ func (in *HitInstance) buildInverted() {
 		in.cursor = make([]int32, len(in.objOffs)-1)
 	}
 	copy(in.cursor, in.objOffs[:len(in.cursor)])
+	// A live count step from old to new (both below S) only moves the
+	// gains of holders whose band [S−C, S) starts in (old, new]. Bands
+	// of holders with C >= S start at 0 and hold from the clean state
+	// until death, so only the largest C below S sets the floor.
+	s := in.s
+	var cmax int32
+	in.gain0 = in.gain0[:0]
 	for i := 0; i < m; i++ {
+		g := 0
 		for _, h := range in.run(i) {
 			in.objHits[in.cursor[h.Obj]] = candHit{Cand: int32(i), C: h.C}
 			in.cursor[h.Obj]++
+			if h.C >= s {
+				g += in.weight(h.Obj)
+			} else if h.C > cmax {
+				cmax = h.C
+			}
 		}
+		in.gain0 = append(in.gain0, g)
 	}
+	in.bandLo = s - cmax
 	in.objCands = in.objCands[:0]
 	if in.objs != nil {
 		for _, ch := range in.objHits {
@@ -245,6 +268,14 @@ func (in *HitInstance) buildInverted() {
 	} else {
 		in.objCands = nil
 	}
+}
+
+// weight returns object obj's damage weight (1 under unit weights).
+func (in *HitInstance) weight(obj int32) int {
+	if in.w == nil {
+		return 1
+	}
+	return int(in.w[obj])
 }
 
 // run returns candidate i's contiguous hit run.
@@ -272,9 +303,12 @@ func (in *HitInstance) Load(i int) int64 { return in.loads[i] }
 // Add fails candidate i, returning the number of newly failed objects.
 // Objects crossing the S threshold shed their replicas from every
 // holder's residual via the inverted index (Remove walks the exact
-// inverse). The
-// residual upkeep touches only hits on dead objects and threshold
-// crossings, so the common live-hit path costs one predictable branch.
+// inverse). The same walks keep the gain ledger: a holder with C
+// replicas of an object counts it in its Marginal exactly while the
+// object's failed-replica count lies in the band [S−C, S), so a count
+// entering or leaving that band moves the holder's gain by the
+// object's weight. The upkeep walks holders only at band crossings
+// and deaths; every other hit costs a compare.
 func (in *HitInstance) Add(i int) int {
 	if in.w != nil {
 		return in.addW(i)
@@ -305,16 +339,20 @@ func (in *HitInstance) Add(i int) int {
 	}
 	var dDead int64
 	if in.objs != nil {
-		cross := s - 1
+		// C = 1: every holder's band is the single count S−1.
+		enter := s - 2
 		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
 			old := in.cnt[obj]
 			in.cnt[obj] = old + 1
-			if old >= cross {
-				if old == cross {
+			if old >= enter {
+				switch old {
+				case enter:
+					in.bandShift(obj, old, old+1, 1)
+				case enter + 1:
 					newly++
-					dDead += int64(old) + 1
-					in.objectDied(obj)
-				} else {
+					dDead += int64(s)
+					in.objectDied(obj, old, 1)
+				default:
 					dDead++
 				}
 			}
@@ -328,10 +366,12 @@ func (in *HitInstance) Add(i int) int {
 				if old < s {
 					newly++
 					dDead += int64(nw)
-					in.objectDied(h.Obj)
+					in.objectDied(h.Obj, old, 1)
 				} else {
 					dDead += int64(h.C)
 				}
+			} else if nw >= in.bandLo {
+				in.bandShift(h.Obj, old, nw, 1)
 			}
 		}
 	}
@@ -366,10 +406,12 @@ func (in *HitInstance) addW(i int) int {
 			if old < s {
 				newly += int(w)
 				dDead += int64(nw) * w
-				in.objectDiedW(h.Obj)
+				in.objectDied(h.Obj, old, w)
 			} else {
 				dDead += int64(h.C) * w
 			}
+		} else if nw >= in.bandLo {
+			in.bandShift(h.Obj, old, nw, int(in.w[h.Obj]))
 		}
 	}
 	in.deadSpent += dDead
@@ -397,14 +439,18 @@ func (in *HitInstance) Remove(i int) {
 	}
 	var dDead int64
 	if in.objs != nil {
+		leave := s - 1
 		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
 			old := in.cnt[obj]
 			in.cnt[obj] = old - 1
-			if old >= s {
-				if old == s {
-					in.objectRevived(obj)
+			if old >= leave {
+				switch old {
+				case leave:
+					in.bandShift(obj, old-1, old, -1)
+				case s:
+					in.objectRevived(obj, old-1, 1)
 					dDead -= int64(old)
-				} else {
+				default:
 					dDead--
 				}
 			}
@@ -416,11 +462,13 @@ func (in *HitInstance) Remove(i int) {
 			in.cnt[h.Obj] = nw
 			if old >= s {
 				if nw < s {
-					in.objectRevived(h.Obj)
+					in.objectRevived(h.Obj, nw, 1)
 					dDead -= int64(old)
 				} else {
 					dDead -= int64(h.C)
 				}
+			} else if old >= in.bandLo {
+				in.bandShift(h.Obj, nw, old, -1)
 			}
 		}
 	}
@@ -444,88 +492,87 @@ func (in *HitInstance) removeW(i int) {
 		if old >= s {
 			w := in.w[h.Obj]
 			if nw < s {
-				in.objectRevivedW(h.Obj)
+				in.objectRevived(h.Obj, nw, w)
 				dDead -= int64(old) * w
 			} else {
 				dDead -= int64(h.C) * w
 			}
+		} else if old >= in.bandLo {
+			in.bandShift(h.Obj, nw, old, -int(in.w[h.Obj]))
 		}
 	}
 	in.deadSpent += dDead
 }
 
-// objectDied discounts every candidate's replicas of the newly dead
-// object: future hits on it are wasted, so they leave the residuals.
-func (in *HitInstance) objectDied(obj int32) {
+// objectDied walks the holders of obj (weight w), whose failed-replica
+// count just crossed S upward from old: future hits on it are wasted,
+// so every holder sheds its C·w from the residuals, and every holder
+// whose gain band [S−C, S) held old loses w from its Marginal.
+func (in *HitInstance) objectDied(obj, old int32, w int64) {
+	lo, hi := in.objOffs[obj], in.objOffs[obj+1]
 	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand]--
-		}
-		in.residAll -= int64(in.objOffs[obj+1] - in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		in.resid[ch.Cand] -= int64(ch.C)
-		c += int64(ch.C)
-	}
-	in.residAll -= c
-}
-
-// objectRevived reverts objectDied.
-func (in *HitInstance) objectRevived(obj int32) {
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand]++
-		}
-		in.residAll += int64(in.objOffs[obj+1] - in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		in.resid[ch.Cand] += int64(ch.C)
-		c += int64(ch.C)
-	}
-	in.residAll += c
-}
-
-// objectDiedW is objectDied in weight units: every hit on the dead
-// object leaves the residuals at its weighted size C·w.
-func (in *HitInstance) objectDiedW(obj int32) {
-	w := in.w[obj]
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
+		// C = 1: old = S−1 fills every holder's band.
+		for _, cand := range in.objCands[lo:hi] {
 			in.resid[cand] -= w
+			in.gain[cand] -= int(w)
 		}
-		in.residAll -= w * int64(in.objOffs[obj+1]-in.objOffs[obj])
+		in.residAll -= w * int64(hi-lo)
 		return
 	}
 	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
+	for _, ch := range in.objHits[lo:hi] {
 		d := int64(ch.C) * w
 		in.resid[ch.Cand] -= d
 		c += d
+		if old+ch.C >= in.s {
+			in.gain[ch.Cand] -= int(w)
+		}
 	}
 	in.residAll -= c
 }
 
-// objectRevivedW reverts objectDiedW.
-func (in *HitInstance) objectRevivedW(obj int32) {
-	w := in.w[obj]
+// objectRevived reverts objectDied: obj's count just fell back below S
+// to nw.
+func (in *HitInstance) objectRevived(obj, nw int32, w int64) {
+	lo, hi := in.objOffs[obj], in.objOffs[obj+1]
 	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
+		for _, cand := range in.objCands[lo:hi] {
 			in.resid[cand] += w
+			in.gain[cand] += int(w)
 		}
-		in.residAll += w * int64(in.objOffs[obj+1]-in.objOffs[obj])
+		in.residAll += w * int64(hi-lo)
 		return
 	}
 	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
+	for _, ch := range in.objHits[lo:hi] {
 		d := int64(ch.C) * w
 		in.resid[ch.Cand] += d
 		c += d
+		if nw+ch.C >= in.s {
+			in.gain[ch.Cand] += int(w)
+		}
 	}
 	in.residAll += c
+}
+
+// bandShift adds d to the Marginal of every holder of the live object
+// obj whose gain band [S−C, S) starts in (lo, hi]: the object's count
+// just moved between lo and hi (both below S), entering those bands on
+// Add (d = +w) or leaving them on Remove (d = −w).
+func (in *HitInstance) bandShift(obj, lo, hi int32, d int) {
+	a, b := in.objOffs[obj], in.objOffs[obj+1]
+	if in.objCands != nil {
+		// C = 1: the single band S−1 is the only one callers cross.
+		for _, cand := range in.objCands[a:b] {
+			in.gain[cand] += d
+		}
+		return
+	}
+	for _, ch := range in.objHits[a:b] {
+		if start := in.s - ch.C; lo < start && start <= hi {
+			in.gain[ch.Cand] += d
+		}
+	}
 }
 
 // Marginal returns how many objects Add(i) would newly fail, without
@@ -572,6 +619,7 @@ func (in *HitInstance) Reset() {
 	}
 	if in.prepared {
 		copy(in.resid, in.full)
+		copy(in.gain, in.gain0)
 		in.residAll = in.fullSum
 		in.deadSpent = 0
 	}
@@ -582,14 +630,16 @@ func (in *HitInstance) Reset() {
 // are exactly the clean-state invariants, so no recomputation is
 // needed. Reinit switches it back off, and ApplyMove suspends it —
 // the per-candidate full loads are patched in place by the move, but
-// the inverted index is only re-derived here, once, when the next
-// residual-pruned search actually starts.
+// the inverted index and the gain ledger's baseline are only
+// re-derived here, once, when the next residual-pruned search actually
+// starts.
 func (in *HitInstance) EnableResidual() {
 	if !in.prepared {
 		in.prepare()
 	} else if in.invStale {
 		in.buildInverted()
 		copy(in.resid, in.full)
+		copy(in.gain, in.gain0)
 		in.residAll = in.fullSum
 		in.deadSpent = 0
 		in.invStale = false
@@ -603,6 +653,18 @@ func (in *HitInstance) EnableResidual() {
 // and the total dead load discounted so far.
 func (in *HitInstance) ResidualStats() (deadSpent, residual, discount int64) {
 	return in.deadSpent, in.residAll, in.fullSum - in.residAll
+}
+
+// Gains returns the marginal-gain ledger: Gains()[i] == Marginal(i) at
+// every search state while the residual upkeep is on, kept in step by
+// the Add/Remove walks. It returns nil while the upkeep is off (before
+// EnableResidual, after Reinit or ApplyMove), when the ledger is not
+// maintained. The slice is the instance's own: read it, never write it.
+func (in *HitInstance) Gains() []int {
+	if !in.track {
+		return nil
+	}
+	return in.gain
 }
 
 // TopResidual returns the sum of the rem largest residual loads among
@@ -669,6 +731,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.onSwap = nil
 	cp.cnt = make([]int32, len(in.cnt))
 	cp.full, cp.resid, cp.objHits, cp.objCands = nil, nil, nil, nil
+	cp.gain0, cp.gain = nil, nil
 	cp.objOffs = make([]int32, len(in.objOffs))
 	cp.fullSum = 0
 	cp.prepared, cp.invStale, cp.track = false, false, false
@@ -680,8 +743,8 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 
 // Clone returns an independent searcher over the same immutable
 // preprocessing: the CSR arrays, loads, duplicate flags and inverted
-// index are shared (read-only during search), only the mutable failure
-// and residual state is fresh — the cheap way to stamp out per-worker
+// index are shared (read-only during search), only the mutable failure,
+// residual and gain state is fresh — the cheap way to stamp out per-worker
 // instances for BranchAndBoundParallel. The receiver must be clean
 // (Reset), as the clone starts clean.
 func (in *HitInstance) Clone() *HitInstance {
@@ -690,6 +753,7 @@ func (in *HitInstance) Clone() *HitInstance {
 	if in.prepared && !in.invStale {
 		// Share the immutable residual preprocessing; fresh state only.
 		cp.resid = append([]int64(nil), in.full...)
+		cp.gain = append([]int(nil), in.gain0...)
 		cp.residAll = in.fullSum
 		cp.deadSpent = 0
 	} else {
@@ -699,6 +763,7 @@ func (in *HitInstance) Clone() *HitInstance {
 		// is treated the same way — the clone re-prepares from the
 		// patched CSR runs on its own backing.
 		cp.full, cp.resid, cp.objHits, cp.objCands = nil, nil, nil, nil
+		cp.gain0, cp.gain = nil, nil
 		cp.objOffs = make([]int32, len(in.objOffs))
 		cp.prepared = false
 		cp.invStale = false

@@ -9,3 +9,7 @@ const InvariantsEnabled = false
 // assertInvariants is a no-op in regular builds; the call sites inline
 // away entirely.
 func (in *HitInstance) assertInvariants(string) {}
+
+// auditGains is a no-op in regular builds; the leaf scans inline it
+// away entirely.
+func auditGains(Instance) {}

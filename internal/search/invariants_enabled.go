@@ -22,7 +22,8 @@ const InvariantsEnabled = true
 //	loads   Σ C·w per run, non-increasing (canonical order), key-tied
 //	full    equals loads entry-wise when prepared; fullSum = Σ full
 //	index   inverted object → candidate CSR matches the forward runs
-//	        whenever it claims freshness (prepared && !invStale)
+//	        whenever it claims freshness (prepared && !invStale), and so
+//	        do the gain baseline gain0 and the band floor
 //	cnt     clean (all zero) — moves are between-search operations
 func (in *HitInstance) assertInvariants(context string) {
 	fail := func(format string, args ...any) {
@@ -117,9 +118,11 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// Inverted index: only checked when it claims to be fresh.
+	// Inverted index and gain baselines: only checked when they claim
+	// to be fresh.
 	if in.prepared && !in.invStale {
 		in.assertInvertedFresh(fail)
+		in.assertGainBaseline(fail)
 	}
 
 	// Moves are between-search operations: counters clean, residual
@@ -164,6 +167,67 @@ func (in *HitInstance) assertInvertedFresh(fail func(string, ...any)) {
 				fail("objCands strip diverges at %d: %d != %d", g, in.objCands[g], ch.Cand)
 			}
 			cursor[h.Obj]++
+		}
+	}
+}
+
+// assertGainBaseline recounts the gain ledger's clean-state baseline
+// (gain0[c] = Σ w over c's hits with C >= S) and the band floor
+// (S − max{C < S} over all hits) from the forward runs.
+func (in *HitInstance) assertGainBaseline(fail func(string, ...any)) {
+	m := in.Len()
+	if len(in.gain0) != m {
+		fail("len(gain0) = %d, want %d", len(in.gain0), m)
+	}
+	var cmax int32
+	for i := 0; i < m; i++ {
+		want := 0
+		for _, h := range in.hits[in.offs[i]:in.offs[i+1]] {
+			if h.C >= in.s {
+				want += in.weight(h.Obj)
+			}
+			if h.C < in.s {
+				cmax = max(cmax, h.C)
+			}
+		}
+		if in.gain0[i] != want {
+			fail("candidate %d gain0 %d, want %d", i, in.gain0[i], want)
+		}
+	}
+	if in.bandLo != in.s-cmax {
+		fail("band floor %d, want %d", in.bandLo, in.s-cmax)
+	}
+}
+
+// auditGains checks the gain ledger at a final-level scan: every
+// instance that keeps one (HitInstance, or a type embedding it) must
+// match a recount from its counters.
+func auditGains(in Instance) {
+	if a, ok := in.(interface{ assertGains(string) }); ok {
+		a.assertGains("leaf scan")
+	}
+}
+
+// assertGains recounts every candidate's marginal gain from cnt and the
+// CSR runs — independently of Marginal — and panics on the first
+// ledger entry that differs. O(nnz) per call.
+func (in *HitInstance) assertGains(context string) {
+	if !in.track {
+		return
+	}
+	m := in.Len()
+	if len(in.gain) != m {
+		panic(fmt.Sprintf("search: invariants at %s: len(gain) = %d, want %d", context, len(in.gain), m))
+	}
+	for i := 0; i < m; i++ {
+		want := 0
+		for _, h := range in.hits[in.offs[i]:in.offs[i+1]] {
+			if c := in.cnt[h.Obj]; c < in.s && c+h.C >= in.s {
+				want += in.weight(h.Obj)
+			}
+		}
+		if in.gain[i] != want {
+			panic(fmt.Sprintf("search: invariants at %s: candidate %d gain %d, recount %d", context, i, in.gain[i], want))
 		}
 	}
 }

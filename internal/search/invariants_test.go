@@ -55,6 +55,14 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.hits[0], in.hits[1] = in.hits[1], in.hits[0]
 		}, "ascending"},
 		{"dirty counter", func(in *HitInstance) { in.cnt[1] = 1 }, "counter"},
+		{"gain baseline drift", func(in *HitInstance) {
+			in.EnableResidual()
+			in.gain0[1]++
+		}, "gain0"},
+		{"band floor drift", func(in *HitInstance) {
+			in.EnableResidual()
+			in.bandLo--
+		}, "band floor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,4 +85,22 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.assertInvariants("test")
 		})
 	}
+}
+
+// TestAuditGainsCatchesDrift proves the leaf-scan audit is live: a
+// ledger entry that disagrees with the recount from cnt and the runs
+// panics at the next final-level scan, while a healthy ledger passes.
+func TestAuditGainsCatchesDrift(t *testing.T) {
+	in := moveReady(t)
+	in.EnableResidual()
+	in.Add(0)
+	bestExtension(in, in.Gains(), nil, 1, in.Len()) // healthy: silent
+	in.gain[2]++
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "candidate 2 gain") {
+			t.Fatalf("panic %v, want a candidate 2 gain mismatch", r)
+		}
+	}()
+	bestExtension(in, in.Gains(), nil, 1, in.Len())
 }

@@ -111,6 +111,7 @@ func BranchAndBoundShardedWith(probe Instance, newInst func() (Instance, error),
 			s := in.S()
 			prefix := loadPrefix(in)
 			rb := residualOf(in, bound)
+			gains := gainsOf(rb)
 			dup := dupFlags(in)
 			cur := make([]int, 0, k)
 			var dfs func(start, failed int, loadSum int64)
@@ -137,16 +138,7 @@ func BranchAndBoundShardedWith(probe Instance, newInst func() (Instance, error),
 					return
 				}
 				if rem == 1 {
-					bestI, bestGain := -1, -1
-					for i := start; i < m; i++ {
-						if dup != nil && i > start && dup[i] {
-							continue
-						}
-						if g := in.Marginal(i); g > bestGain {
-							bestGain = g
-							bestI = i
-						}
-					}
+					bestI, bestGain := bestExtension(in, gains, dup, start, m)
 					if bestI >= 0 && int64(failed+bestGain) > bestScore.Load() {
 						cur = append(cur, bestI)
 						report(failed+bestGain, cur)

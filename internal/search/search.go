@@ -147,6 +147,21 @@ type Deduper interface {
 	DupOfPrev(i int) bool
 }
 
+// GainTracker is an optional ResidualBounder extension: an instance
+// that keeps every candidate's Marginal current inside Add/Remove while
+// its residual upkeep runs. The final-level scan then reads the ledger,
+// O(m) per leaf, instead of calling Marginal over every remaining
+// candidate's hits; the values are equal, so the argmax — and with it
+// damage, witness and visited states — is unchanged. Under BoundStatic
+// no upkeep runs and the drivers keep the Marginal scan.
+type GainTracker interface {
+	ResidualBounder
+	// Gains returns the per-candidate ledger, Gains()[i] == Marginal(i)
+	// at every state, or nil while the upkeep is off. Drivers fetch it
+	// once after EnableResidual; Add/Remove update it in place.
+	Gains() []int
+}
+
 // Bound selects the branch-and-bound pruning discipline.
 type Bound int
 
@@ -404,6 +419,7 @@ func BranchAndBoundWith(in Instance, seed Result, bud *Budget, bound Bound) Resu
 	m, k, s := in.Len(), in.K(), in.S()
 	prefix := loadPrefix(in)
 	rb := residualOf(in, bound)
+	gains := gainsOf(rb)
 	dup := dupFlags(in)
 	best := Result{Failed: seed.Failed, Sel: append([]int(nil), seed.Sel...), Exact: true}
 	cur := make([]int, 0, k)
@@ -434,22 +450,7 @@ func BranchAndBoundWith(in Instance, seed Result, bud *Budget, bound Bound) Resu
 			return
 		}
 		if rem == 1 {
-			// Final level: scan candidates for the best single extension.
-			// Duplicates collapse here too: candidate i's marginal equals
-			// its identical predecessor's, and the strict argmax keeps the
-			// first of any equal pair, so skipping dup[i] (whose
-			// representative i-1 >= start is scanned) changes nothing but
-			// the scan work.
-			bestI, bestGain := -1, -1
-			for i := start; i < m; i++ {
-				if dup != nil && i > start && dup[i] {
-					continue
-				}
-				if g := in.Marginal(i); g > bestGain {
-					bestGain = g
-					bestI = i
-				}
-			}
+			bestI, bestGain := bestExtension(in, gains, dup, start, m)
 			if bestI >= 0 && failed+bestGain > best.Failed {
 				best.Failed = failed + bestGain
 				best.Sel = append(append(best.Sel[:0], cur...), bestI)
@@ -515,6 +516,47 @@ func prunable(rb ResidualBounder, failed int, loadSum, window, s, incumbent int6
 		return true
 	}
 	return false
+}
+
+// bestExtension is the final-level scan every driver shares: the first
+// candidate in start..m-1 with the largest marginal damage, and that
+// damage ((-1, -1) on an empty range). It reads the gain ledger when
+// the instance keeps one (gains != nil, see GainTracker) and calls
+// Marginal otherwise. Duplicates collapse in the Marginal scan:
+// candidate i's marginal equals its identical predecessor's, and the
+// strict argmax keeps the first of any equal pair, so skipping dup[i]
+// (whose representative i-1 >= start is scanned) changes nothing but
+// the scan work — which the ledger scan does not have to save.
+func bestExtension(in Instance, gains []int, dup []bool, start, m int) (bestI, bestGain int) {
+	bestI, bestGain = -1, -1
+	if gains != nil {
+		auditGains(in)
+		for i, g := range gains[start:m] {
+			if g > bestGain {
+				bestGain, bestI = g, start+i
+			}
+		}
+		return bestI, bestGain
+	}
+	for i := start; i < m; i++ {
+		if dup != nil && i > start && dup[i] {
+			continue
+		}
+		if g := in.Marginal(i); g > bestGain {
+			bestGain, bestI = g, i
+		}
+	}
+	return bestI, bestGain
+}
+
+// gainsOf returns the gain ledger of an instance whose residual upkeep
+// residualOf switched on, or nil (static mode, or no ledger): the
+// final-level scan then falls back to Marginal.
+func gainsOf(rb ResidualBounder) []int {
+	if gt, ok := rb.(GainTracker); ok {
+		return gt.Gains()
+	}
+	return nil
 }
 
 // residualOf returns the instance's residual-bound view when the mode

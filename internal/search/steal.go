@@ -59,7 +59,7 @@ import (
 // Failed objects down and LoadSum chosen static load) still owes the
 // sibling branches choosing candidates Start.. next. Tasks are only
 // created for nodes with at least two picks remaining; leaves and
-// final-level scans complete inline.
+// final-level extension scans (bestExtension) complete inline.
 type Task struct {
 	Prefix  []int `json:"prefix"`
 	Start   int   `json:"start"`
@@ -254,16 +254,7 @@ func (ps *ParallelSearch) enterRoot() []Task {
 		return nil
 	}
 	if k == 1 {
-		dup := dupFlags(in)
-		bestI, bestGain := -1, -1
-		for i := 0; i < m; i++ {
-			if dup != nil && i > 0 && dup[i] {
-				continue
-			}
-			if g := in.Marginal(i); g > bestGain {
-				bestGain, bestI = g, i
-			}
-		}
+		bestI, bestGain := bestExtension(in, gainsOf(rb), dupFlags(in), 0, m)
 		if bestI >= 0 {
 			ps.report(bestGain, []int{bestI})
 		}
@@ -383,6 +374,7 @@ type stealWorker struct {
 	deq    *deque
 	prefix []int64
 	rb     ResidualBounder
+	gains  []int
 	dup    []bool
 	s      int64
 	cur    []int
@@ -394,13 +386,15 @@ type stealWorker struct {
 
 func newStealWorker(ps *ParallelSearch, id int) *stealWorker {
 	in := ps.instances[id]
+	rb := residualOf(in, ps.bound)
 	return &stealWorker{
 		ps:     ps,
 		id:     id,
 		in:     in,
 		deq:    ps.deques[id],
 		prefix: loadPrefix(in),
-		rb:     residualOf(in, ps.bound),
+		rb:     rb,
+		gains:  gainsOf(rb),
 		dup:    dupFlags(in),
 		s:      int64(in.S()),
 		cur:    make([]int, 0, ps.k),
@@ -657,22 +651,13 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 	return true
 }
 
-// scanLast is the final-level Marginal scan over candidates cstart..m-1
-// for the node currently applied to the instance (failed objects down).
-// Unlike the serial driver it also reports ties — the reducer needs
-// them for the lex tie-break — but, like it, takes the first of equal
-// maximizers and skips duplicate candidates.
+// scanLast is the final-level extension scan (bestExtension) over
+// candidates cstart..m-1 for the node currently applied to the
+// instance (failed objects down). Unlike the serial driver it also
+// reports ties — the reducer needs them for the lex tie-break — but the
+// scan itself is the serial one: first of equal maximizers.
 func (w *stealWorker) scanLast(failed, cstart int) {
-	m := w.ps.m
-	bestI, bestGain := -1, -1
-	for j := cstart; j < m; j++ {
-		if w.dup != nil && j > cstart && w.dup[j] {
-			continue
-		}
-		if g := w.in.Marginal(j); g > bestGain {
-			bestGain, bestI = g, j
-		}
-	}
+	bestI, bestGain := bestExtension(w.in, w.gains, w.dup, cstart, w.ps.m)
 	if bestI < 0 {
 		return
 	}
