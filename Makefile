@@ -8,7 +8,7 @@ SHELL := /bin/bash
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: build vet lint test test-short test-invariants bench bench-check
+.PHONY: build vet lint test test-short test-invariants bench bench-check examples-check
 
 build:
 	$(GO) build ./...
@@ -67,3 +67,15 @@ bench-check:
 	$(GO) run ./cmd/benchjson < bench.out > BENCH.new.json
 	$(GO) run ./cmd/benchcheck -baseline BENCH.json -new BENCH.new.json
 	rm -f BENCH.new.json
+
+# examples-check runs every program under examples/ and diffs its stdout
+# against the committed examples/<name>/expected.txt. All examples are
+# deterministic, so any diff is a behaviour change in the library path
+# the example drives; regenerate a file only when that change is meant.
+examples-check:
+	@for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) run ./examples/$$name | diff -u examples/$$name/expected.txt - \
+			|| { echo "examples-check: $$name output changed"; exit 1; }; \
+	done
+	@echo examples-check: all outputs match

@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per figure; see EXPERIMENTS.md for the
-// recorded outputs), plus ablation benchmarks for the design choices
-// called out in DESIGN.md §5 and micro-benchmarks of the hot primitives.
+// evaluation (one benchmark per figure; `replicaplace experiment` prints
+// the same tables), plus ablation benchmarks for the main design choices
+// and micro-benchmarks of the hot primitives.
 //
 // Run everything:
 //
@@ -208,7 +208,7 @@ func BenchmarkTheorem1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5).
+// Ablations of the main design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationComboVsSimple quantifies what the DP buys over the
@@ -257,20 +257,20 @@ func BenchmarkAblationAdversary(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, k = 2, 3
-	exact, err := adversary.Exhaustive(pl, s, k)
+	exact, err := adversary.Attack(pl, adversary.Target{S: s, K: k}, adversary.SearchOpts{Engine: adversary.Exhaustive})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.Exhaustive(pl, s, k); err != nil {
+			if _, err := adversary.Attack(pl, adversary.Target{S: s, K: k}, adversary.SearchOpts{Engine: adversary.Exhaustive}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.WorstCase(pl, s, k, 0)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, K: k}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func BenchmarkAblationAdversary(b *testing.B) {
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.Greedy(pl, s, k)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, K: k}, adversary.SearchOpts{Engine: adversary.Greedy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -305,20 +305,20 @@ func BenchmarkAblationDomainAdversary(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 3
-	exact, err := adversary.DomainExhaustive(pl, topo, s, d)
+	exact, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Engine: adversary.Exhaustive})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.DomainExhaustive(pl, topo, s, d); err != nil {
+			if _, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Engine: adversary.Exhaustive}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func BenchmarkAblationDomainAdversary(b *testing.B) {
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainGreedy(pl, topo, s, d)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Engine: adversary.Greedy})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -355,14 +355,14 @@ func BenchmarkDomainWorstCasePar(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 4
-	serial, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	serial, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -377,7 +377,7 @@ func BenchmarkDomainWorstCasePar(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCasePar(pl, topo, s, d, 0, workers)
+				res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -408,7 +408,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 4
-	plain, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	plain, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 	b.Run("unit", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{ObjWeights: ones})
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{ObjWeights: ones})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,7 +445,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 	b.Run("hot", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{ObjWeights: hotW})
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{ObjWeights: hotW})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,14 +496,14 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 	}
 	pl := zoneConfinedPlacement(b, 1000, 2000, 3, 25, 7)
 	const s, d = 2, 3
-	serial, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	serial, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,7 +518,7 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCasePar(pl, topo, s, d, 0, workers)
+				res, err := adversary.Attack(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -533,16 +533,17 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 }
 
 // stealSkewInstance builds the starvation scenario for the parallel
-// drivers: a hub node hosts a replica of every hot object, so every
+// driver: a hub node hosts a replica of every hot object, so every
 // worthwhile attack includes candidate 0 and the whole search lives
 // inside the single first=0 top-level branch — the remaining branches
-// prune on sight. Top-level sharding hands that one branch to one
-// worker and starves the rest; work stealing splits its interior. Hot
-// objects pair the hub with a 30-node pool (the real combinatorial
-// search), cold objects pad the candidate list with instantly-pruned
-// branches. Built directly as a search.HitInstance (the node-level
-// adapter's layout: unit hits, candidates by descending load) so the
-// benchmark can drive both parallel drivers on identical instances.
+// prune on sight. Splitting only the top level would hand that one
+// branch to one worker and starve the rest; work stealing splits its
+// interior. Hot objects pair the hub with a 30-node pool (the real
+// combinatorial search), cold objects pad the candidate list with
+// instantly-pruned branches. Built directly as a search.HitInstance (the
+// node-level adapter's layout: unit hits, candidates by descending load)
+// so the benchmark drives the serial and parallel drivers on identical
+// instances.
 func stealSkewInstance(b *testing.B) *search.HitInstance {
 	b.Helper()
 	const n, hot, cold, poolLo, poolHi, s, k = 240, 400, 200, 1, 20, 2, 5
@@ -594,20 +595,17 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 	return in
 }
 
-// BenchmarkStealSkew contrasts the work-stealing driver against the
-// deprecated top-level sharding on the skewed-survivor instance at 8
-// workers (serial is the scale reference). On a multi-core host the
-// wall-clock gap is the headline: sharding degenerates to one busy
-// worker here (its ns/op pins to serial, as the single dominant branch
-// is one worker's whole shard), while stealing splits that branch's
-// interior across all 8 — an expected ≥2x and up to ~8x. On a
-// single-core runner the three times coincide and the benchmark instead
+// BenchmarkStealSkew runs the work-stealing driver on the
+// skewed-survivor instance at 8 workers, with serial as the scale
+// reference: a single dominant top-level branch holds nearly all the
+// work, so a driver that only split the top level would pin to serial,
+// while stealing splits that branch's interior across all 8 workers. On
+// a single-core runner the two times coincide and the benchmark instead
 // pins the scheduler's overhead (steal ns/op must stay at serial's) and
 // its exactness: damage equality is asserted every run, and the
 // visited-states metrics are deterministic (the greedy seed is optimal,
 // so the incumbent never moves and pruning is schedule-independent —
-// steal matches serial exactly; sharding is one lower, its legacy
-// driver never charged the root) and tracked by make bench-check.
+// steal matches serial exactly) and tracked by make bench-check.
 func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
@@ -620,20 +618,6 @@ func BenchmarkStealSkew(b *testing.B) {
 			res := search.BranchAndBoundWith(probe, seed, search.NewBudget(0), search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("serial rerun %d != %d", res.Failed, serial.Failed)
-			}
-			visited = res.Visited
-		}
-		b.ReportMetric(float64(visited), "visited-states")
-	})
-	b.Run("sharded/workers=8", func(b *testing.B) {
-		var visited int64
-		for i := 0; i < b.N; i++ {
-			res, err := search.BranchAndBoundShardedWith(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Failed != serial.Failed {
-				b.Fatalf("sharded %d != serial %d", res.Failed, serial.Failed)
 			}
 			visited = res.Visited
 		}
@@ -688,14 +672,14 @@ func BenchmarkDomainWorstCaseDeep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		want, err := adversary.DomainWorstCase(pl, flat, s, tc.d, 0)
+		want, err := adversary.Attack(pl, adversary.Target{S: s, D: tc.d, Topo: flat, Level: topology.Leaf}, adversary.SearchOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCaseAt(pl, topo, tc.level, s, tc.d, 0)
+				res, err := adversary.Attack(pl, adversary.Target{S: s, D: tc.d, Topo: topo, Level: tc.level}, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -708,13 +692,13 @@ func BenchmarkDomainWorstCaseDeep(b *testing.B) {
 		})
 	}
 	// The parallel engine at the expensive (rack) level.
-	rackSerial, err := adversary.DomainWorstCaseAt(pl, topo, 2, s, 3, 0)
+	rackSerial, err := adversary.Attack(pl, adversary.Target{S: s, D: 3, Topo: topo, Level: 2}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("level=rack/workers=8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseParAt(pl, topo, 2, s, 3, 0, 8)
+			res, err := adversary.Attack(pl, adversary.Target{S: s, D: 3, Topo: topo, Level: 2}, adversary.SearchOpts{Workers: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -757,7 +741,7 @@ func BenchmarkBoundAblation(b *testing.B) {
 		{"uniform-s2-d3", uniform, 2, 3},
 	}
 	for _, tc := range cases {
-		exact, err := adversary.DomainWorstCaseWith(tc.pl, topo, tc.s, tc.d, adversary.SearchOpts{})
+		exact, err := adversary.Attack(tc.pl, adversary.Target{S: tc.s, D: tc.d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -765,7 +749,7 @@ func BenchmarkBoundAblation(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/bound=%s", tc.name, bound), func(b *testing.B) {
 				var visited int64
 				for i := 0; i < b.N; i++ {
-					res, err := adversary.DomainWorstCaseWith(tc.pl, topo, tc.s, tc.d,
+					res, err := adversary.Attack(tc.pl, adversary.Target{S: tc.s, D: tc.d, Topo: topo, Level: topology.Leaf},
 						adversary.SearchOpts{Bound: bound})
 					if err != nil {
 						b.Fatal(err)
@@ -793,13 +777,13 @@ func BenchmarkConstrainedWorstCasePar(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, k, d = 2, 4, 2
-	serial, err := adversary.ConstrainedWorstCase(pl, topo, s, k, d, 0)
+	serial, err := adversary.Attack(pl, adversary.Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.ConstrainedWorstCase(pl, topo, s, k, d, 0); err != nil {
+			if _, err := adversary.Attack(pl, adversary.Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -807,7 +791,7 @@ func BenchmarkConstrainedWorstCasePar(b *testing.B) {
 	for _, workers := range []int{4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.ConstrainedWorstCasePar(pl, topo, s, k, d, 0, workers)
+				res, err := adversary.Attack(pl, adversary.Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -952,7 +936,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	const s, k = 2, 3
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.Exhaustive(pl, s, k); err != nil {
+			if _, err := adversary.Attack(pl, adversary.Target{S: s, K: k}, adversary.SearchOpts{Engine: adversary.Exhaustive}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1040,7 +1024,7 @@ func BenchmarkWorstCaseBnB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adversary.WorstCase(pl, 3, 4, 0); err != nil {
+		if _, err := adversary.Attack(pl, adversary.Target{S: 3, K: 4}, adversary.SearchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1111,7 +1095,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 			total, evals = 0, 0
 			want = want[:0]
 			cur := pl.Clone()
-			base, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+			base, err := adversary.Attack(cur, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1121,7 +1105,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 				if err := cur.MoveReplica(pr.obj, pr.from, pr.to); err != nil {
 					b.Fatal(err)
 				}
-				res, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+				res, err := adversary.Attack(cur, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1131,7 +1115,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 				if err := cur.MoveReplica(pr.obj, pr.to, pr.from); err != nil {
 					b.Fatal(err)
 				}
-				back, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+				back, err := adversary.Attack(cur, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1150,7 +1134,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 		evals := 0
 		for i := 0; i < b.N; i++ {
 			total, evals = 0, 0
-			se, err := adversary.NewDomainSession(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
+			se, err := adversary.NewSession(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1243,7 +1227,7 @@ func BenchmarkProbeFanout(b *testing.B) {
 		var elapsed time.Duration
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			se, err := adversary.NewDomainSession(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
+			se, err := adversary.NewSession(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1305,7 +1289,7 @@ func BenchmarkProbeMemoHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	pl := zoneConfinedPlacement(b, 100, 200, 3, zones, 7)
-	se, err := adversary.NewDomainSession(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
+	se, err := adversary.NewSession(pl, adversary.Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

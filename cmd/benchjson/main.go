@@ -11,7 +11,10 @@
 // iteration count, then (value, unit) pairs — and keeps every pair:
 // ns/op and allocs/op are promoted to top-level fields, everything else
 // (B/op, MB/s, visited-states, ...) lands in the metrics map. Header
-// lines (goos/goarch/cpu/pkg) annotate the following benchmarks.
+// lines (goos/goarch/cpu/pkg) annotate the following benchmarks. The
+// "-N" GOMAXPROCS suffix go test appends on multi-proc hosts is
+// stripped, so rows keep one name on every host and bench-check can
+// match them against a baseline recorded elsewhere.
 package main
 
 import (
@@ -104,7 +107,7 @@ func parseBenchLine(line string) (Benchmark, bool, error) {
 	if err != nil {
 		return Benchmark{}, false, nil
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters}
+	b := Benchmark{Name: trimProcs(fields[0]), Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		value, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -126,4 +129,21 @@ func parseBenchLine(line string) (Benchmark, bool, error) {
 		}
 	}
 	return b, true, nil
+}
+
+// trimProcs drops the trailing "-N" GOMAXPROCS suffix of a benchmark
+// name ("BenchmarkX/workers=8-2" → "BenchmarkX/workers=8"). go test only
+// appends it when GOMAXPROCS > 1, so a sub-benchmark whose own name
+// ends in "-<digits>" would lose that tail too; no tracked row does.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

@@ -60,6 +60,29 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestParseStripsProcsSuffix(t *testing.T) {
+	report, err := parse(strings.NewReader(
+		"BenchmarkX/workers=8-2\t1\t5 ns/op\n" +
+			"BenchmarkBoundAblation/uniform-s2-d3/bound=static-16\t1\t5 ns/op\n" +
+			"BenchmarkBoundAblation/uniform-s2-d3/bound=static\t1\t5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"BenchmarkX/workers=8",
+		"BenchmarkBoundAblation/uniform-s2-d3/bound=static",
+		"BenchmarkBoundAblation/uniform-s2-d3/bound=static",
+	}
+	if len(report.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(report.Benchmarks), len(want))
+	}
+	for i, b := range report.Benchmarks {
+		if b.Name != want[i] {
+			t.Errorf("row %d: name %q, want %q", i, b.Name, want[i])
+		}
+	}
+}
+
 func TestParseSkipsNonResultLines(t *testing.T) {
 	report, err := parse(strings.NewReader("BenchmarkFoo\nBenchmarkBar-8 notanint 12 ns/op\n"))
 	if err != nil {

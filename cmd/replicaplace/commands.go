@@ -96,11 +96,11 @@ func planTopologySection(w io.Writer, mf *modelFlags, tf *topologyFlags, opts ad
 	if err != nil {
 		return err
 	}
-	oblivious, err := adversary.DomainWorstCaseAtWith(combo, topo, tf.level, mf.s, dl, opts)
+	oblivious, err := adversary.Attack(combo, adversary.Target{S: mf.s, D: dl, Topo: topo, Level: tf.level}, opts)
 	if err != nil {
 		return err
 	}
-	spread, err := adversary.DomainWorstCaseAtWith(aware, topo, tf.level, mf.s, dl, opts)
+	spread, err := adversary.Attack(aware, adversary.Target{S: mf.s, D: dl, Topo: topo, Level: tf.level}, opts)
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,7 @@ func weightedDomainSection(w io.Writer, topo *topology.Topology, level, s, dl in
 		}
 		wOpts := opts
 		wOpts.ObjWeights = objW
-		res, err := adversary.DomainWorstCaseAtWith(layout.pl, topo, level, s, dl, wOpts)
+		res, err := adversary.Attack(layout.pl, adversary.Target{S: s, D: dl, Topo: topo, Level: level}, wOpts)
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func cmdAttack(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := adversary.WorstCaseWith(pl, *s, *k, adversary.SearchOpts{Budget: *budget, Bound: bound})
+	res, err := adversary.Attack(pl, adversary.Target{S: *s, K: *k}, adversary.SearchOpts{Budget: *budget, Bound: bound})
 	if err != nil {
 		return err
 	}
@@ -274,7 +274,7 @@ func cmdAttack(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dres, err := adversary.DomainWorstCaseAtWith(pl, topo, tf.level, *s, dl, adversary.SearchOpts{Budget: *budget, Bound: bound})
+	dres, err := adversary.Attack(pl, adversary.Target{S: *s, D: dl, Topo: topo, Level: tf.level}, adversary.SearchOpts{Budget: *budget, Bound: bound})
 	if err != nil {
 		return err
 	}
@@ -291,7 +291,7 @@ func cmdAttack(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wres, err := adversary.DomainWorstCaseAtWith(pl, topo, tf.level, *s, dl,
+		wres, err := adversary.Attack(pl, adversary.Target{S: *s, D: dl, Topo: topo, Level: tf.level},
 			adversary.SearchOpts{Budget: *budget, Bound: bound, ObjWeights: objW})
 		if err != nil {
 			return err

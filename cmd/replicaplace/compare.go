@@ -56,7 +56,7 @@ func cmdCompare(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	comboRes, err := adversary.WorstCaseWith(combo, mf.s, mf.k, nodeOpts)
+	comboRes, err := adversary.Attack(combo, adversary.Target{S: mf.s, K: mf.k}, nodeOpts)
 	if err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func cmdCompare(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := adversary.WorstCaseWith(rp, mf.s, mf.k, nodeOpts)
+		res, err := adversary.Attack(rp, adversary.Target{S: mf.s, K: mf.k}, nodeOpts)
 		if err != nil {
 			return err
 		}
@@ -133,7 +133,7 @@ func compareTopologySection(w io.Writer, mf *modelFlags, tf *topologyFlags,
 		{"combo, domain-oblivious", combo},
 		{"combo, domain-aware    ", aware},
 	} {
-		res, err := adversary.DomainWorstCaseAtWith(layout.pl, topo, tf.level, mf.s, dl, opts)
+		res, err := adversary.Attack(layout.pl, adversary.Target{S: mf.s, D: dl, Topo: topo, Level: tf.level}, opts)
 		if err != nil {
 			return err
 		}
@@ -161,7 +161,7 @@ func compareTopologySection(w io.Writer, mf *modelFlags, tf *topologyFlags,
 		if err != nil {
 			return err
 		}
-		res, err := adversary.DomainWorstCaseAtWith(rp, topo, tf.level, mf.s, dl, opts)
+		res, err := adversary.Attack(rp, adversary.Target{S: mf.s, D: dl, Topo: topo, Level: tf.level}, opts)
 		if err != nil {
 			return err
 		}

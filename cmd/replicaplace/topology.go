@@ -278,7 +278,7 @@ func cmdTopology(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := adversary.DomainWorstCaseAt(layout.pl, topo, tf.level, mf.s, dl, *budget)
+		res, err := adversary.Attack(layout.pl, adversary.Target{S: mf.s, D: dl, Topo: topo, Level: tf.level}, adversary.SearchOpts{Budget: *budget})
 		if err != nil {
 			return err
 		}
@@ -295,13 +295,13 @@ func cmdTopology(args []string, w io.Writer) error {
 		}
 	}
 
-	nodeRes, err := adversary.WorstCase(combo, mf.s, mf.k, *budget)
+	nodeRes, err := adversary.Attack(combo, adversary.Target{S: mf.s, K: mf.k}, adversary.SearchOpts{Budget: *budget})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "node adversary (%d free nodes): fails %d (Avail = %d, %s)\n",
 		mf.k, nodeRes.Failed, nodeRes.Avail(mf.b), exactness(nodeRes.Exact))
-	conRes, err := adversary.ConstrainedWorstCaseAt(aware, topo, tf.level, mf.s, mf.k, dl, *budget)
+	conRes, err := adversary.Attack(aware, adversary.Target{S: mf.s, K: mf.k, D: dl, Topo: topo, Level: tf.level}, adversary.SearchOpts{Budget: *budget})
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func cmdTopology(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := adversary.DomainWorstCaseAt(aware, topo, l, mf.s, ld, *budget)
+			res, err := adversary.Attack(aware, adversary.Target{S: mf.s, D: ld, Topo: topo, Level: l}, adversary.SearchOpts{Budget: *budget})
 			if err != nil {
 				return err
 			}

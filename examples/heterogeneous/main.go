@@ -80,7 +80,8 @@ func run() error {
 	//    (lost objects) and the weighted one (lost weight).
 	fmt.Printf("%-16s  %-16s  %-22s\n", "layout", "objects lost", "weight lost")
 	report := func(name string, layout *repro.Placement) (int, error) {
-		plain, err := repro.WorstDomainAttack(layout, topo, s, d, 0)
+		rackLoss := repro.Target{S: s, D: d, Topo: topo}
+		plain, err := repro.Attack(layout, rackLoss, repro.AttackOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -88,7 +89,7 @@ func run() error {
 		if err != nil {
 			return 0, err
 		}
-		weighted, err := repro.WorstDomainAttackWeighted(layout, topo, s, d, 0, objW)
+		weighted, err := repro.Attack(layout, rackLoss, repro.AttackOptions{ObjWeights: objW})
 		if err != nil {
 			return 0, err
 		}

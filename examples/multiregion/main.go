@@ -67,18 +67,19 @@ func run() error {
 	}
 	fmt.Printf("%-8s  %-18s  %-18s\n", "level", "oblivious Avail", "aware Avail")
 	for level := 0; level < topo.Levels(); level++ {
-		oblivAvail, _, err := repro.DomainAvailAt(pl, topo, level, s, d, 0)
+		target := repro.Target{S: s, D: d, Topo: topo, Level: level}
+		obliv, err := repro.Attack(pl, target, repro.AttackOptions{})
 		if err != nil {
 			return err
 		}
-		awareAvail, attack, err := repro.DomainAvailAt(aware, topo, level, s, d, 0)
+		attack, err := repro.Attack(aware, target, repro.AttackOptions{})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-8s  %-18s  %-18s (worst: %v)\n",
 			topo.LevelName(level),
-			fmt.Sprintf("%d of %d", oblivAvail, b),
-			fmt.Sprintf("%d of %d", awareAvail, b),
+			fmt.Sprintf("%d of %d", obliv.Avail(b), b),
+			fmt.Sprintf("%d of %d", attack.Avail(b), b),
 			topo.DomainNamesAt(level, attack.Domains))
 	}
 
@@ -94,7 +95,7 @@ func run() error {
 	// 5. An attacker with k node failures confined to one region — the
 	//    realistic "big blast radius" threat — is still weaker than the
 	//    free adversary.
-	constrained, err := repro.WorstConstrainedAttackAt(aware, topo, 0, s, k, d, 0)
+	constrained, err := repro.Attack(aware, repro.Target{S: s, K: k, D: d, Topo: topo, Level: 0}, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
@@ -115,11 +116,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cappedAvail, _, err := repro.DomainAvailAt(capped, topo, repro.LeafLevel, s, d, 0)
+	cappedRes, err := repro.Attack(capped, repro.Target{S: s, D: d, Topo: topo, Level: repro.LeafLevel}, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("with balanced per-rack caps: %d of %d available under the rack adversary\n",
-		cappedAvail, b)
+		cappedRes.Avail(b), b)
 	return nil
 }

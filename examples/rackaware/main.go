@@ -62,12 +62,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	availOblivious, attack, err := repro.DomainAvail(pl, topo, s, d, 0)
+	rackLoss := repro.Target{S: s, D: d, Topo: topo}
+	attack, err := repro.Attack(pl, rackLoss, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("oblivious: objects span %d-%d racks; losing rack %v leaves %d of %d available\n",
-		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), availOblivious, b)
+		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), attack.Avail(b), b)
 
 	// 4. The spreading post-pass relabels nodes so every object's three
 	//    replicas land in three different racks.
@@ -79,12 +80,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	availAware, attack, err := repro.DomainAvail(aware, topo, s, d, 0)
+	attack, err = repro.Attack(aware, rackLoss, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("aware:     objects span %d-%d racks; losing rack %v leaves %d of %d available\n",
-		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), availAware, b)
+		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), attack.Avail(b), b)
 
 	// 5. The node-level guarantee is untouched by the relabeling.
 	availNode, _, err := repro.Avail(aware, s, k, 0)
@@ -96,7 +97,7 @@ func run() error {
 
 	// 6. An attacker with k node failures but limited blast radius
 	//    (at most d racks) is much weaker than the free adversary.
-	constrained, err := repro.WorstConstrainedAttack(aware, topo, s, k, d, 0)
+	constrained, err := repro.Attack(aware, repro.Target{S: s, K: k, D: d, Topo: topo}, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,42 +1,52 @@
-// Package adversary computes (or bounds) the worst-case k-node failure
-// against a placement: the set K of k nodes maximizing the number of
-// failed objects, where an object fails once s of its replicas lie in K
-// (paper Definition 1: Avail(π) is b minus this maximum).
+// Package adversary computes (or bounds) the worst-case failure against
+// a placement: the attack that fails the most objects, where an object
+// fails once s of its replicas lie on failed nodes (paper Definition 1:
+// Avail(π) is b minus this maximum).
 //
-// The problem generalizes maximum coverage and is NP-hard. Every engine
-// in this package — the node-level trio (Exhaustive, Greedy, WorstCase),
-// the whole-domain trio (DomainExhaustive, DomainGreedy,
-// DomainWorstCase), the constrained k-nodes-in-≤d-domains pair, and the
-// parallel variants — is a thin adapter over the one generic search core
-// in internal/search; see that package (and this package's README) for
-// the shared drivers, the residual-load pruning bound, and the budget
-// semantics:
+// One call, Attack, answers every attack model; the Target's shape picks
+// the model:
 //
-//   - Exhaustive: enumerate all C(n, k) subsets. Reference oracle for
-//     tests and tiny instances.
+//   - Topo == nil: the paper's adversary, any K nodes.
+//   - Topo set, K == 0: D whole domains of one level of the topology
+//     (the hierarchical correlated-failure setting of Mills,
+//     Chandrasekaran & Mittal, arXiv:1701.01539).
+//   - Topo set, K and D both set: K nodes confined to at most D domains
+//     of that level — the paper's node budget with a correlation limit.
+//
+// SearchOpts.Engine picks the search. The problem generalizes maximum
+// coverage and is NP-hard:
+//
+//   - BranchAndBound (the zero value): branch-and-bound over candidates
+//     ordered by load, seeded with the greedy incumbent, pruned with the
+//     residual-load bound (or, under SearchOpts{Bound:
+//     search.BoundStatic}, the static replica-counting bound failed(K)
+//     <= ⌊(Σ_{nd∈K} load(nd)) / s⌋). Exact when it completes within its
+//     state budget; otherwise it degrades gracefully and reports Exact =
+//     false.
+//   - Exhaustive: enumerate every attack set. Reference oracle for tests
+//     and tiny instances.
 //   - Greedy: greedy marginal-gain selection followed by swap-based local
 //     search. Fast; yields a lower bound on the damage (upper bound on
 //     availability).
-//   - WorstCase: branch-and-bound over candidates ordered by load, seeded
-//     with the greedy incumbent, pruned with the residual-load bound (or,
-//     under SearchOpts{Bound: search.BoundStatic}, the static
-//     replica-counting bound failed(K) <= ⌊(Σ_{nd∈K} load(nd)) / s⌋).
-//     Exact when it completes within its state budget; otherwise it
-//     degrades gracefully and reports Exact = false.
 //
-// Every adapter is a search.HitInstance — one flat CSR hit layout for
-// node-level (C = 1), whole-domain (aggregated C), and constrained
-// searches alike — plus a candidate-selection policy and the candidate
-// index → identity mapping.
+// NewSession opens the incremental face of the same search for node and
+// whole-domain targets (see Session).
+//
+// Every attack is a thin adapter over the one generic search core in
+// internal/search: a search.HitInstance — one flat CSR hit layout for
+// node-level (C = 1), whole-domain (aggregated C) and constrained
+// searches alike — plus the candidate index → identity mapping. See that
+// package (and this package's README) for the shared drivers, the
+// residual-load pruning bound and the budget semantics.
 package adversary
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/placement"
 	"repro/internal/search"
+	"repro/internal/topology"
 )
 
 // Result reports the outcome of a worst-case search. Under
@@ -44,8 +54,12 @@ import (
 // objects (lost weight, not count); Avail then reads b as the total
 // weight — pair weighted searches with placement.SumWeights.
 type Result struct {
-	Failed  int   // objects (or weight, under ObjWeights) failed by the best attack found
-	Nodes   []int // the attacking node set, sorted
+	Failed int // objects (or weight, under ObjWeights) failed by the best attack found
+	// Domains are the attack's domains at the target level, sorted: the
+	// failed domains of a whole-domain attack, the domains a constrained
+	// attack's nodes touch. nil for node attacks.
+	Domains []int
+	Nodes   []int // the failed nodes, sorted
 	Exact   bool  // true if Failed is provably the maximum
 	Visited int64 // search states visited (diagnostics/ablation)
 }
@@ -53,40 +67,88 @@ type Result struct {
 // Avail returns b - Failed for the placement the result was computed on.
 func (r Result) Avail(b int) int { return b - r.Failed }
 
-// SearchOpts tunes how a branch-and-bound engine searches; the zero
-// value — unlimited budget, serial, residual-load pruning — matches the
-// plain engine functions.
+// DomainResult is Result under its former whole-domain name, kept for
+// the perfbench module: its recorded workloads are versioned with their
+// baselines and still name it.
+type DomainResult = Result
+
+// Engine selects the search Attack runs.
+type Engine int
+
+const (
+	// BranchAndBound is greedy-seeded branch-and-bound, exact within its
+	// budget.
+	BranchAndBound Engine = iota
+	// Exhaustive enumerates every attack set; it ignores Budget and
+	// Bound.
+	Exhaustive
+	// Greedy is marginal-gain selection plus single-swap local search, a
+	// lower bound on the damage; it ignores Budget and Bound.
+	Greedy
+)
+
+// Target names what the adversary fails. Its shape picks the attack
+// model: Topo == nil is a node attack of K; Topo with K == 0 is a
+// whole-domain attack of D; Topo with both K and D is the constrained
+// attack (K nodes inside at most D domains).
+type Target struct {
+	// S is the fatality threshold: an object fails once S of its
+	// replicas are on failed nodes (1 <= S <= r).
+	S int
+	// K is the number of failed nodes (1 <= K < n); 0 with Topo set
+	// selects the whole-domain attack.
+	K int
+	// D is the number of failed whole domains, or, with K set, the most
+	// domains the K failed nodes may span (1 <= D <= the domain count
+	// at Level). It must be 0 without Topo.
+	D int
+	// Topo is the failure-domain topology; nil selects the node attack.
+	Topo *topology.Topology
+	// Level is the topology level whose domains D counts, numbered like
+	// the replicaplace CLI's -level flag: 0 is the top (coarsest) level,
+	// topology.Leaf (-1) the leaf racks. Ignored without Topo.
+	Level int
+}
+
+// SearchOpts tunes how an attack searches; the zero value — greedy-seeded
+// branch-and-bound, unlimited budget, serial, residual-load pruning — is
+// the exact default.
 type SearchOpts struct {
+	// Engine selects the search (BranchAndBound, the zero value;
+	// Exhaustive; Greedy). Sessions search by branch-and-bound only.
+	Engine Engine
 	// Budget caps the branch-and-bound states visited (<= 0: unlimited,
 	// result exact). One shared pool per logical search: across workers
-	// and, for the constrained engines, across domain subsets.
+	// and, for the constrained attack, across domain subsets.
 	Budget int64
 	// Workers fans the search out over goroutines: 0 or 1 serial, < 0
-	// GOMAXPROCS. Exact searches return identical damage at any worker
-	// count; budgeted parallel searches may report different (still
-	// valid) lower bounds run to run.
+	// GOMAXPROCS. Branch-and-bound searches in parallel; the constrained
+	// attack shards its domain subsets for every engine. Exact searches
+	// return identical damage and witness at any worker count; budgeted
+	// parallel searches may report different (still valid) lower bounds
+	// run to run.
 	Workers int
 	// Bound selects the pruning discipline — search.BoundResidual (the
 	// default) or search.BoundStatic (the ablation baseline). Both
 	// return identical results; residual visits no more states.
 	Bound search.Bound
-	// MemoCap bounds the damage memo of incremental Sessions (the
-	// one-shot engines keep no memo): total memoized results across
-	// the memo's shards, evicted FIFO past the cap. 0 picks a default
-	// large enough that bounded workloads never evict (1<<16); < 0 is
-	// unlimited. Parallel probing (Session.ProbeMoves) is visit-count
-	// deterministic only while the cap is unreached — see the session
-	// docs — so leave it at the default unless memory is the concern.
+	// MemoCap bounds the damage memo of incremental Sessions (one-shot
+	// attacks keep no memo): total memoized results across the memo's
+	// shards, evicted FIFO past the cap. 0 picks a default large enough
+	// that bounded workloads never evict (1<<16); < 0 is unlimited.
+	// Parallel probing (Session.ProbeMoves) is visit-count deterministic
+	// only while the cap is unreached — see the session docs — so leave
+	// it at the default unless memory is the concern.
 	MemoCap int
 	// ObjWeights switches every engine to weighted damage: object obj
 	// is worth ObjWeights[obj] (>= 0) and the adversary maximizes the
 	// total weight of the failed objects instead of their count —
-	// Result.Failed / DomainResult.Failed are then lost weight. The
-	// candidate ordering, the pruning bounds and the residual ledger all
-	// run in weight units (see internal/search), so an all-ones vector
-	// reproduces the unweighted search byte for byte: same damage, same
-	// witness, same visited-state count. nil means unit weights. Derive
-	// per-object weights from a topology's node weights with
+	// Result.Failed is then lost weight. The candidate ordering, the
+	// pruning bounds and the residual ledger all run in weight units
+	// (see internal/search), so an all-ones vector reproduces the
+	// unweighted search byte for byte: same damage, same witness, same
+	// visited-state count. nil means unit weights. Derive per-object
+	// weights from a topology's node weights with
 	// placement.ObjectWeights.
 	ObjWeights []int64
 }
@@ -105,36 +167,62 @@ func (o SearchOpts) resolveMemoCap() int {
 
 // resolveWorkers maps the SearchOpts convention onto a concrete count.
 func (o SearchOpts) resolveWorkers() int {
-	if o.Workers < 0 {
-		return runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
 	if o.Workers == 0 {
 		return 1
 	}
-	return o.Workers
+	return search.Workers(o.Workers)
 }
 
-// runBranchAndBound is the one greedy-seed → Reset → serial-or-parallel
-// branch-and-bound dispatch shared by the node- and domain-level With
-// engines (the constrained pair shards domain subsets instead).
-func runBranchAndBound(probe search.Instance, clone func() search.Instance, opts SearchOpts) (search.Result, error) {
-	seed := search.Greedy(probe)
-	probe.Reset()
-	bud := search.NewBudget(opts.Budget)
-	if workers := opts.resolveWorkers(); workers > 1 {
-		return search.BranchAndBoundParallelWith(probe, func() (search.Instance, error) {
-			return clone(), nil
-		}, seed, bud, workers, opts.Bound)
+// check validates t against the placement and the object weights — the
+// one parameter check every attack and session runs — and returns the
+// flat view of the attack level (nil for a node attack).
+func (t Target) check(pl *placement.Placement, w []int64) (*topology.Topology, error) {
+	if err := pl.Validate(); err != nil {
+		return nil, err
 	}
-	return search.BranchAndBoundWith(probe, seed, bud, opts.Bound), nil
+	var flat *topology.Topology
+	if t.Topo != nil {
+		var err error
+		if flat, err = collapseTo(pl, t.Topo, t.Level); err != nil {
+			return nil, err
+		}
+	} else if t.D != 0 {
+		return nil, fmt.Errorf("adversary: d = %d needs a topology", t.D)
+	}
+	if t.S < 1 || t.S > pl.R {
+		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", t.S, pl.R)
+	}
+	if (flat == nil || t.K != 0) && (t.K < 1 || t.K >= pl.N) {
+		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", t.K, pl.N)
+	}
+	// Unlike the node-level k < n, d = NumDomains is allowed: "every
+	// domain fails" is a well-defined (if grim) query, and the placement
+	// side (WorstDomainDamage, SpreadAcrossDomains) accepts it too.
+	if flat != nil && (t.D < 1 || t.D > flat.NumDomains()) {
+		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", t.D, flat.NumDomains())
+	}
+	return flat, checkObjWeights(w, pl.B())
 }
 
-// nodeInstance adapts a placement to search.HitInstance with individual
-// nodes as the unit of failure (every hit has C = 1), keeping the
-// candidate index → node id mapping.
-type nodeInstance struct {
-	*search.HitInstance
-	candidates []int // nodes hosting at least one replica, by descending load
+// collapseTo validates the topology and projects it to the requested
+// attack level: the flat depth-1 view every instance is built from. The
+// leaf level of any depth is already flat for the leaf-only accessors,
+// so it avoids the copy.
+func collapseTo(pl *placement.Placement, topo *topology.Topology, level int) (*topology.Topology, error) {
+	if err := topo.Validate(); err != nil {
+		return nil, err
+	}
+	if topo.N != pl.N {
+		return nil, fmt.Errorf("adversary: topology covers %d nodes, placement has %d", topo.N, pl.N)
+	}
+	l, err := topo.ResolveLevel(level)
+	if err != nil {
+		return nil, fmt.Errorf("adversary: %w", err)
+	}
+	if l == topo.Levels()-1 {
+		return topo, nil
+	}
+	return topo.Collapse(l)
 }
 
 // checkObjWeights validates an optional per-object weight vector
@@ -154,6 +242,163 @@ func checkObjWeights(w []int64, b int) error {
 	return nil
 }
 
+// Attack returns the most damaging failure of target t against pl that
+// the engine in opts finds. With the default engine and Budget <= 0 the
+// result is exact; a positive budget stops the search after that many
+// states and reports whether it completed. (One state = one partial
+// attack set considered; greedy seeding is budget-free.)
+func Attack(pl *placement.Placement, t Target, opts SearchOpts) (Result, error) {
+	if opts.Engine < BranchAndBound || opts.Engine > Greedy {
+		return Result{}, fmt.Errorf("adversary: unknown engine %d", opts.Engine)
+	}
+	flat, err := t.check(pl, opts.ObjWeights)
+	if err != nil {
+		return Result{}, err
+	}
+	if flat != nil && t.K != 0 {
+		return newConstrained(pl, flat, t, opts.ObjWeights).sweep(opts), nil
+	}
+	in := newInstance(pl, flat, t, opts.ObjWeights)
+	var res search.Result
+	switch opts.Engine {
+	case Exhaustive:
+		res = search.Exhaustive(in)
+	case Greedy:
+		res = search.Greedy(in)
+	default:
+		seed := search.Greedy(in)
+		in.Reset()
+		res = branchAndBound(in.HitInstance, seed, search.NewBudget(opts.Budget), opts)
+	}
+	return in.result(res), nil
+}
+
+// WorstCase is the exact-by-default node attack, Attack with Target{S:
+// s, K: k} and the given budget, kept for the perfbench module: its
+// recorded workloads are versioned with their baselines and call it.
+func WorstCase(pl *placement.Placement, s, k int, budget int64) (Result, error) {
+	return Attack(pl, Target{S: s, K: k}, SearchOpts{Budget: budget})
+}
+
+// DomainWorstCase is the whole-domain attack on d leaf domains, Attack
+// with Target{S: s, D: d, Topo: topo, Level: topology.Leaf} and the
+// given budget, kept for the perfbench module: its recorded workloads
+// are versioned with their baselines and call it.
+func DomainWorstCase(pl *placement.Placement, topo *topology.Topology, s, d int, budget int64) (DomainResult, error) {
+	return Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: budget})
+}
+
+// branchAndBound runs branch-and-bound on in from seed, serially or
+// fanned out over opts' workers (clones share in's immutable CSR, and
+// the work-stealing driver unwinds in before returning, so it stays
+// clean for the caller).
+func branchAndBound(in *search.HitInstance, seed search.Result, bud *search.Budget, opts SearchOpts) search.Result {
+	if workers := opts.resolveWorkers(); workers > 1 {
+		// The driver errs only when the factory does, and Clone cannot.
+		res, _ := search.BranchAndBoundParallelWith(in, func() (search.Instance, error) {
+			return in.Clone(), nil
+		}, seed, bud, workers, opts.Bound)
+		return res
+	}
+	return search.BranchAndBoundWith(in, seed, bud, opts.Bound)
+}
+
+// instance adapts a placement to search.HitInstance with one candidate
+// per node (topo nil; every hit has C = 1) or per attack-level domain
+// (the aggregated hits of placement.DomainHits), keeping the candidate
+// index → node or domain id mapping.
+type instance struct {
+	*search.HitInstance
+	topo  *topology.Topology // flat attack-level view; nil = node candidates
+	cands []int              // loaded ids by canonical order, then unloaded padding
+}
+
+// newInstance builds the search instance of a validated node (flat nil)
+// or whole-domain target.
+func newInstance(pl *placement.Placement, flat *topology.Topology, t Target, w []int64) *instance {
+	k, byID := t.K, [][]search.Hit(nil)
+	if flat == nil {
+		byID = nodeHits(pl)
+	} else {
+		k = t.D
+		byID, _ = placement.DomainHits(pl, flat)
+	}
+	wloads := weightedLoads(byID, w)
+	in := &instance{HitInstance: search.NewHitInstance(t.S, pl.B()), topo: flat}
+	for id, hl := range byID {
+		if len(hl) > 0 {
+			in.cands = append(in.cands, id)
+		}
+	}
+	byLoad(in.cands, wloads)
+	// If fewer than k units carry load, pad with empty ones (they do no
+	// harm, but the attack set must have k members; k < n and d <=
+	// domains guarantee enough exist).
+	for id := 0; id < len(byID) && len(in.cands) < k; id++ {
+		if len(byID[id]) == 0 {
+			in.cands = append(in.cands, id)
+		}
+	}
+	hitLists := make([][]search.Hit, len(in.cands))
+	loads := make([]int64, len(in.cands))
+	for i, id := range in.cands {
+		hitLists[i] = byID[id]
+		loads[i] = wloads[id]
+	}
+	in.Reinit(k, hitLists, loads)
+	in.SetWeights(w)
+	return in
+}
+
+// result translates a core result from candidate-index space to ids.
+func (in *instance) result(res search.Result) Result {
+	out := Result{Failed: res.Failed, Exact: res.Exact, Visited: res.Visited}
+	out.Domains, out.Nodes = witness(in.topo, in.cands, res.Sel)
+	return out
+}
+
+// witness maps a selection of candidate positions through idOf to the
+// attack's sorted ids: the failed nodes, or with a topology the failed
+// domains and their node union.
+func witness(topo *topology.Topology, idOf, sel []int) (domains, nodes []int) {
+	ids := make([]int, len(sel))
+	for i, c := range sel {
+		ids[i] = idOf[c]
+	}
+	sort.Ints(ids)
+	if topo == nil {
+		return nil, ids
+	}
+	return ids, topo.FailedSet(ids).Members(nil)
+}
+
+// byLoad sorts ids into the canonical candidate order every instance
+// and session shares: weighted load descending, ties by ascending id (so
+// node- and domain-level searches are isomorphic on singleton-domain
+// topologies).
+func byLoad(ids []int, wloads []int64) {
+	sort.Slice(ids, func(a, b int) bool {
+		if wloads[ids[a]] != wloads[ids[b]] {
+			return wloads[ids[a]] > wloads[ids[b]]
+		}
+		return ids[a] < ids[b]
+	})
+}
+
+// nodeHits builds the per-node hit lists (C = 1 per hosted replica,
+// objects ascending) every node-level adapter shares.
+func nodeHits(pl *placement.Placement) [][]search.Hit {
+	perNode := make([][]search.Hit, pl.N)
+	var buf []int
+	for obj := 0; obj < pl.B(); obj++ {
+		buf = pl.Objects[obj].Members(buf[:0])
+		for _, nd := range buf {
+			perNode[nd] = append(perNode[nd], search.Hit{Obj: int32(obj), C: 1})
+		}
+	}
+	return perNode
+}
+
 // weightedLoads maps per-candidate hit lists to their weighted loads
 // Σ C·w[obj] — the load contract of a SetWeights instance. With w nil
 // it returns the plain replica counts.
@@ -171,158 +416,4 @@ func weightedLoads(hitLists [][]search.Hit, w []int64) []int64 {
 		loads[i] = sum
 	}
 	return loads
-}
-
-func newInstance(pl *placement.Placement, s, k int, w []int64) (*nodeInstance, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if k < 1 || k >= pl.N {
-		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
-	}
-	if err := checkObjWeights(w, pl.B()); err != nil {
-		return nil, err
-	}
-	perNode := nodeHits(pl)
-	loadsByNode := pl.NodeLoads()
-	wloads := weightedLoads(perNode, w)
-	var candidates []int
-	for nd, l := range loadsByNode {
-		if l > 0 {
-			candidates = append(candidates, nd)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if wloads[candidates[i]] != wloads[candidates[j]] {
-			return wloads[candidates[i]] > wloads[candidates[j]]
-		}
-		return candidates[i] < candidates[j]
-	})
-	// If fewer than k nodes carry load, pad with empty nodes (they do no
-	// harm, but the attack set must have k members; k < n guarantees
-	// enough nodes exist).
-	for nd := 0; nd < pl.N && len(candidates) < k; nd++ {
-		if loadsByNode[nd] == 0 {
-			candidates = append(candidates, nd)
-		}
-	}
-	hitLists := make([][]search.Hit, len(candidates))
-	loads := make([]int64, len(candidates))
-	for i, nd := range candidates {
-		hitLists[i] = perNode[nd]
-		loads[i] = wloads[nd]
-	}
-	inst := &nodeInstance{HitInstance: search.NewHitInstance(s, pl.B()), candidates: candidates}
-	inst.Reinit(k, hitLists, loads)
-	inst.SetWeights(w)
-	return inst, nil
-}
-
-// nodeHits builds the per-node hit lists (C = 1 per hosted replica,
-// objects ascending) every node-level adapter shares.
-func nodeHits(pl *placement.Placement) [][]search.Hit {
-	perNode := make([][]search.Hit, pl.N)
-	var buf []int
-	for obj := 0; obj < pl.B(); obj++ {
-		buf = pl.Objects[obj].Members(buf[:0])
-		for _, nd := range buf {
-			perNode[nd] = append(perNode[nd], search.Hit{Obj: int32(obj), C: 1})
-		}
-	}
-	return perNode
-}
-
-// clone returns an independent searcher sharing the immutable
-// preprocessing (CSR hits, candidate order, loads) with fresh counters —
-// how the parallel driver stamps out per-worker instances.
-func (in *nodeInstance) clone() *nodeInstance {
-	return &nodeInstance{HitInstance: in.HitInstance.Clone(), candidates: in.candidates}
-}
-
-// result translates a core result from candidate-index space to node ids.
-func (in *nodeInstance) result(res search.Result) Result {
-	nodes := make([]int, len(res.Sel))
-	for i, ci := range res.Sel {
-		nodes[i] = in.candidates[ci]
-	}
-	sort.Ints(nodes)
-	return Result{
-		Failed:  res.Failed,
-		Nodes:   nodes,
-		Exact:   res.Exact,
-		Visited: res.Visited,
-	}
-}
-
-// Exhaustive enumerates every k-subset of nodes. Cost is C(n, k) times the
-// incremental update cost; use only when that product is small.
-func Exhaustive(pl *placement.Placement, s, k int) (Result, error) {
-	return ExhaustiveWith(pl, s, k, SearchOpts{})
-}
-
-// ExhaustiveWith is Exhaustive with explicit search options; only
-// ObjWeights applies (enumeration has no budget, workers or bound).
-func ExhaustiveWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
-	in, err := newInstance(pl, s, k, opts.ObjWeights)
-	if err != nil {
-		return Result{}, err
-	}
-	return in.result(search.Exhaustive(in)), nil
-}
-
-// Greedy picks k nodes by maximum marginal damage, then improves the set
-// with single-swap local search. The result is a valid attack (its damage
-// is a lower bound on the worst case) but is not guaranteed optimal.
-func Greedy(pl *placement.Placement, s, k int) (Result, error) {
-	return GreedyWith(pl, s, k, SearchOpts{})
-}
-
-// GreedyWith is Greedy with explicit search options; only ObjWeights
-// applies.
-func GreedyWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
-	in, err := newInstance(pl, s, k, opts.ObjWeights)
-	if err != nil {
-		return Result{}, err
-	}
-	return in.result(search.Greedy(in)), nil
-}
-
-// WorstCase runs branch-and-bound seeded with the greedy incumbent. With
-// budget <= 0 the search is unbounded and the result is exact; otherwise
-// the search stops after visiting budget states and the incumbent is
-// returned with Exact reflecting whether the search completed. (One state
-// = one partial attack set considered; greedy seeding is budget-free —
-// the semantics every engine in this package shares.)
-func WorstCase(pl *placement.Placement, s, k int, budget int64) (Result, error) {
-	return WorstCaseWith(pl, s, k, SearchOpts{Budget: budget})
-}
-
-// WorstCaseWith is WorstCase with explicit search options (budget,
-// worker fan-out, pruning-bound ablation).
-func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
-	in, err := newInstance(pl, s, k, opts.ObjWeights)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := runBranchAndBound(in, func() search.Instance { return in.clone() }, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	// Candidate order is deterministic, so in translates any worker's
-	// selection.
-	return in.result(res), nil
-}
-
-// Avail computes Avail(π) = b − WorstCase damage. It returns the
-// availability, the witnessing failure set, and whether the value is
-// exact.
-func Avail(pl *placement.Placement, s, k int, budget int64) (int, Result, error) {
-	res, err := WorstCase(pl, s, k, budget)
-	if err != nil {
-		return 0, Result{}, err
-	}
-	return pl.B() - res.Failed, res, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/placement"
+	"repro/internal/topology"
 )
 
 // referenceWorst computes the worst k-failure by direct subset enumeration
@@ -48,7 +49,7 @@ func TestExhaustiveMatchesReference(t *testing.T) {
 		s := 1 + rng.Intn(r)
 		k := s + rng.Intn(n-s-1)
 		pl := randomPlacement(rng, n, r, b)
-		got, err := Exhaustive(pl, s, k)
+		got, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +84,11 @@ func TestWorstCaseMatchesExhaustive(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		exact, err := Exhaustive(pl, s, k)
+		exact, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnb, err := WorstCase(pl, s, k, 0)
+		bnb, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +118,11 @@ func TestGreedyIsValidLowerBound(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		greedy, err := Greedy(pl, s, k)
+		greedy, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := Exhaustive(pl, s, k)
+		exact, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +140,11 @@ func TestGreedyIsValidLowerBound(t *testing.T) {
 func TestWorstCaseBudgetDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pl := randomPlacement(rng, 20, 3, 200)
-	full, err := WorstCase(pl, 2, 5, 0)
+	full, err := Attack(pl, Target{S: 2, K: 5}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := WorstCase(pl, 2, 5, 10)
+	tiny, err := Attack(pl, Target{S: 2, K: 5}, SearchOpts{Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +164,69 @@ func TestAdversaryParameterValidation(t *testing.T) {
 	if err := pl.Add([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exhaustive(pl, 0, 2); err == nil {
+	if _, err := Attack(pl, Target{S: 0, K: 2}, SearchOpts{Engine: Exhaustive}); err == nil {
 		t.Error("s = 0 accepted")
 	}
-	if _, err := Exhaustive(pl, 3, 2); err == nil {
+	if _, err := Attack(pl, Target{S: 3, K: 2}, SearchOpts{Engine: Exhaustive}); err == nil {
 		t.Error("s > r accepted")
 	}
-	if _, err := WorstCase(pl, 1, 0, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 0}, SearchOpts{}); err == nil {
 		t.Error("k = 0 accepted")
 	}
-	if _, err := WorstCase(pl, 1, 5, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 5}, SearchOpts{}); err == nil {
 		t.Error("k >= n accepted")
+	}
+}
+
+// TestTargetValidation runs every malformed target through the one
+// shared check: Attack and NewSession must both return an error, never
+// panic. Sessions additionally reject the shapes and engines they have
+// no incremental form for.
+func TestTargetValidation(t *testing.T) {
+	pl := placement.NewPlacement(6, 2)
+	for _, rs := range [][]int{{0, 1}, {2, 3}, {4, 5}} {
+		if err := pl.Add(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	racks, err := topology.Uniform(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, err := topology.UniformHierarchy(6, 2, 3) // levels 0 (zones) and 1 (racks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name     string
+		t        Target
+		opts     SearchOpts
+		attackOK bool // a valid attack that only a session refuses
+	}{
+		{name: "nil topology with d", t: Target{S: 1, K: 2, D: 1}},
+		{name: "k >= n", t: Target{S: 1, K: 6}},
+		{name: "constrained k >= n", t: Target{S: 1, K: 6, D: 1, Topo: racks}},
+		{name: "d > domains", t: Target{S: 1, D: 4, Topo: racks}},
+		{name: "d > domains at level", t: Target{S: 1, D: 3, Topo: zones, Level: 0}},
+		{name: "level past leaves", t: Target{S: 1, D: 1, Topo: zones, Level: 2}},
+		{name: "level below leaf sentinel", t: Target{S: 1, D: 1, Topo: zones, Level: -2}},
+		{name: "short weights", t: Target{S: 1, K: 2}, opts: SearchOpts{ObjWeights: []int64{1, 1}}},
+		{name: "long weights", t: Target{S: 1, D: 1, Topo: racks}, opts: SearchOpts{ObjWeights: []int64{1, 1, 1, 1}}},
+		{name: "negative weight", t: Target{S: 1, K: 2, D: 1, Topo: racks}, opts: SearchOpts{ObjWeights: []int64{1, -1, 1}}},
+		{name: "unknown engine", t: Target{S: 1, K: 2}, opts: SearchOpts{Engine: Greedy + 1}},
+		{name: "session on constrained target", t: Target{S: 1, K: 2, D: 1, Topo: racks}, attackOK: true},
+		{name: "session with exhaustive engine", t: Target{S: 1, K: 2}, opts: SearchOpts{Engine: Exhaustive}, attackOK: true},
+		{name: "session with greedy engine", t: Target{S: 1, D: 1, Topo: racks}, opts: SearchOpts{Engine: Greedy}, attackOK: true},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Attack(pl, tc.t, tc.opts); (err == nil) != tc.attackOK {
+				t.Errorf("Attack error = %v, want error: %v", err, !tc.attackOK)
+			}
+			if _, err := NewSession(pl, tc.t, tc.opts); err == nil {
+				t.Error("NewSession accepted the target")
+			}
+		})
 	}
 }
 
@@ -185,12 +238,8 @@ func TestFewerLoadedNodesThanK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, engine := range []func(*placement.Placement, int, int) (Result, error){
-		Exhaustive,
-		func(p *placement.Placement, s, k int) (Result, error) { return WorstCase(p, s, k, 0) },
-		Greedy,
-	} {
-		res, err := engine(pl, 2, 4)
+	for _, engine := range []Engine{Exhaustive, BranchAndBound, Greedy} {
+		res, err := Attack(pl, Target{S: 2, K: 4}, SearchOpts{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +276,7 @@ func TestLemma2OnConcretePlacements(t *testing.T) {
 				if tc.x >= s {
 					continue // Lemma 2 applies for x < s
 				}
-				res, err := WorstCase(pl, s, k, 0)
+				res, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -260,7 +309,7 @@ func TestLemma3OnConcreteCombo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildCombo(b=%d, k=%d, λ=%v): %v", b, k, spec.Lambdas, err)
 			}
-			res, err := WorstCase(pl, s, k, 0)
+			res, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +330,7 @@ func TestTheorem1Competitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := WorstCase(pl, s, k, 0)
+	res, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +342,7 @@ func TestTheorem1Competitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		alt := randomPlacement(rng, n, r, b)
-		altRes, err := WorstCase(alt, s, k, 0)
+		altRes, err := Attack(alt, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,8 +365,8 @@ func TestWorstCasePropertyQuick(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		ex, err1 := Exhaustive(pl, s, k)
-		bb, err2 := WorstCase(pl, s, k, 0)
+		ex, err1 := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
+		bb, err2 := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 		return err1 == nil && err2 == nil && ex.Failed == bb.Failed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -48,15 +48,15 @@ func TestDifferentialNodeEngines(t *testing.T) {
 		pl := randomPlacement(rng, n, r, b)
 		want := referenceWorst(pl, s, k)
 
-		ex, err := Exhaustive(pl, s, k)
+		ex, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnb, err := WorstCase(pl, s, k, 0)
+		bnb, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, err := Greedy(pl, s, k)
+		greedy, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestDifferentialNodeEngines(t *testing.T) {
 			t.Errorf("trial %d: Greedy %d exceeds reference %d", trial, greedy.Failed, want)
 		}
 		for _, workers := range workerCounts {
-			par, err := WorstCaseParallel(pl, s, k, 0, workers)
+			par, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,19 +103,19 @@ func TestDifferentialDomainEngines(t *testing.T) {
 		d := 1 + rng.Intn(topo.NumDomains())
 		want := referenceDomainWorst(pl, topo, s, d)
 
-		ex, err := DomainExhaustive(pl, topo, s, d)
+		ex, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnb, err := DomainWorstCase(pl, topo, s, d, 0)
+		bnb, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, err := DomainGreedy(pl, topo, s, d)
+		greedy, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, res := range map[string]DomainResult{"DomainExhaustive": ex, "DomainWorstCase": bnb} {
+		for name, res := range map[string]Result{"DomainExhaustive": ex, "DomainWorstCase": bnb} {
 			if res.Failed != want || !res.Exact {
 				t.Errorf("trial %d (n=%d D=%d s=%d d=%d): %s = {failed %d, exact %v}, reference %d",
 					trial, n, topo.NumDomains(), s, d, name, res.Failed, res.Exact, want)
@@ -125,7 +125,7 @@ func TestDifferentialDomainEngines(t *testing.T) {
 			t.Errorf("trial %d: DomainGreedy %d exceeds reference %d", trial, greedy.Failed, want)
 		}
 		for _, workers := range workerCounts {
-			par, err := DomainWorstCasePar(pl, topo, s, d, 0, workers)
+			par, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,8 +171,9 @@ func referenceConstrainedWorstEff(pl *placement.Placement, topo *topology.Topolo
 	return worst
 }
 
-// TestDifferentialConstrainedEngines: the constrained pair and its
-// parallel variant versus the independent filtered-enumeration reference.
+// TestDifferentialConstrainedEngines: the constrained attack under every
+// engine, serial and parallel, versus the independent
+// filtered-enumeration reference.
 func TestDifferentialConstrainedEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	workerCounts := testWorkerCounts(t)
@@ -191,34 +192,42 @@ func TestDifferentialConstrainedEngines(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		want := referenceConstrainedWorstEff(pl, topo, s, k, d)
 
-		ex, err := ConstrainedExhaustive(pl, topo, s, k, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bnb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, res := range map[string]DomainResult{"ConstrainedExhaustive": ex, "ConstrainedWorstCase": bnb} {
-			if res.Failed != want || !res.Exact {
-				t.Errorf("trial %d (n=%d racks=%d s=%d k=%d d=%d): %s = {failed %d, exact %v}, reference %d",
-					trial, n, racks, s, k, d, name, res.Failed, res.Exact, want)
-			}
-		}
-		for _, workers := range workerCounts {
-			par, err := ConstrainedWorstCasePar(pl, topo, s, k, d, 0, workers)
+		target := Target{S: s, K: k, D: d, Topo: topo}
+		serial := map[Engine]Result{}
+		for _, engine := range []Engine{BranchAndBound, Exhaustive, Greedy} {
+			res, err := Attack(pl, target, SearchOpts{Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par.Failed != want || !par.Exact {
-				t.Errorf("trial %d: ConstrainedWorstCasePar(%d workers) = {failed %d, exact %v}, reference %d",
-					trial, workers, par.Failed, par.Exact, want)
+			serial[engine] = res
+		}
+		for _, engine := range []Engine{BranchAndBound, Exhaustive} {
+			if res := serial[engine]; res.Failed != want || !res.Exact {
+				t.Errorf("trial %d (n=%d racks=%d s=%d k=%d d=%d): engine %d = {failed %d, exact %v}, reference %d",
+					trial, n, racks, s, k, d, engine, res.Failed, res.Exact, want)
 			}
-			if len(par.Domains) > d {
-				t.Errorf("trial %d: parallel witness spans %d domains, budget %d", trial, len(par.Domains), d)
-			}
-			if f := pl.FailedObjects(combin.NewBitsetFrom(n, par.Nodes), s); f != par.Failed {
-				t.Errorf("trial %d: parallel witness reproduces %d, reported %d", trial, f, par.Failed)
+		}
+		if g := serial[Greedy]; g.Failed > want {
+			t.Errorf("trial %d: constrained Greedy %d exceeds reference %d", trial, g.Failed, want)
+		}
+		// Every engine's subset sweep returns the serial attack at any
+		// worker count, and every witness is a valid constrained attack.
+		for _, workers := range workerCounts {
+			for engine, want := range serial {
+				par, err := Attack(pl, target, SearchOpts{Engine: engine, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par.Failed != want.Failed || par.Exact != want.Exact ||
+					!reflect.DeepEqual(par.Nodes, want.Nodes) || !reflect.DeepEqual(par.Domains, want.Domains) {
+					t.Errorf("trial %d: engine %d at %d workers = %+v, serial %+v", trial, engine, workers, par, want)
+				}
+				if len(par.Domains) > d {
+					t.Errorf("trial %d: witness spans %d domains, budget %d", trial, len(par.Domains), d)
+				}
+				if f := pl.FailedObjects(combin.NewBitsetFrom(n, par.Nodes), s); f != par.Failed {
+					t.Errorf("trial %d: witness reproduces %d, reported %d", trial, f, par.Failed)
+				}
 			}
 		}
 	}
@@ -251,15 +260,15 @@ func TestDifferentialBoundAblation(t *testing.T) {
 			exact  int
 			search func(SearchOpts) (int, []int, bool, int64)
 		}
-		nodeRef, err := Exhaustive(pl, s, k)
+		nodeRef, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		domRef, err := DomainExhaustive(pl, topo, s, d)
+		domRef, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conRef, err := ConstrainedExhaustive(pl, topo, s, kc, d)
+		conRef, err := Attack(pl, Target{S: s, K: kc, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +278,7 @@ func TestDifferentialBoundAblation(t *testing.T) {
 			}
 			return res.Failed, res.Nodes, res.Exact, res.Visited
 		}
-		asDom := func(res DomainResult, err error) (int, []int, bool, int64) {
+		asDom := func(res Result, err error) (int, []int, bool, int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,11 +286,15 @@ func TestDifferentialBoundAblation(t *testing.T) {
 		}
 		runs := []run{
 			{"node", nodeRef.Failed,
-				func(o SearchOpts) (int, []int, bool, int64) { return asNode(WorstCaseWith(pl, s, k, o)) }},
+				func(o SearchOpts) (int, []int, bool, int64) { return asNode(Attack(pl, Target{S: s, K: k}, o)) }},
 			{"domain", domRef.Failed,
-				func(o SearchOpts) (int, []int, bool, int64) { return asDom(DomainWorstCaseWith(pl, topo, s, d, o)) }},
+				func(o SearchOpts) (int, []int, bool, int64) {
+					return asDom(Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, o))
+				}},
 			{"constrained", conRef.Failed,
-				func(o SearchOpts) (int, []int, bool, int64) { return asDom(ConstrainedWorstCaseWith(pl, topo, s, kc, d, o)) }},
+				func(o SearchOpts) (int, []int, bool, int64) {
+					return asDom(Attack(pl, Target{S: s, K: kc, D: d, Topo: topo, Level: topology.Leaf}, o))
+				}},
 		}
 		for _, r := range runs {
 			sFailed, sNodes, sExact, sVisited := r.search(staticOpts())
@@ -334,20 +347,26 @@ func TestNodeDomainIsomorphism(t *testing.T) {
 
 		type pair struct {
 			node func() (Result, error)
-			dom  func() (DomainResult, error)
+			dom  func() (Result, error)
 		}
 		for name, p := range map[string]pair{
 			"exhaustive": {
-				node: func() (Result, error) { return Exhaustive(pl, s, k) },
-				dom:  func() (DomainResult, error) { return DomainExhaustive(pl, topo, s, k) },
+				node: func() (Result, error) { return Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive}) },
+				dom: func() (Result, error) {
+					return Attack(pl, Target{S: s, D: k, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
+				},
 			},
 			"greedy": {
-				node: func() (Result, error) { return Greedy(pl, s, k) },
-				dom:  func() (DomainResult, error) { return DomainGreedy(pl, topo, s, k) },
+				node: func() (Result, error) { return Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy}) },
+				dom: func() (Result, error) {
+					return Attack(pl, Target{S: s, D: k, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy})
+				},
 			},
 			"worstcase": {
-				node: func() (Result, error) { return WorstCase(pl, s, k, 0) },
-				dom:  func() (DomainResult, error) { return DomainWorstCase(pl, topo, s, k, 0) },
+				node: func() (Result, error) { return Attack(pl, Target{S: s, K: k}, SearchOpts{}) },
+				dom: func() (Result, error) {
+					return Attack(pl, Target{S: s, D: k, Topo: topo, Level: topology.Leaf}, SearchOpts{})
+				},
 			},
 		} {
 			nres, err := p.node()
@@ -386,7 +405,7 @@ func TestBudgetFrontierParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, k = 2, 5
-	full, err := WorstCase(pl, s, k, 0)
+	full, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +413,11 @@ func TestBudgetFrontierParity(t *testing.T) {
 		t.Fatalf("instance too small to pin a frontier: %d states", full.Visited)
 	}
 	for _, budget := range []int64{1, 10, full.Visited / 2} {
-		nres, err := WorstCase(pl, s, k, budget)
+		nres, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dres, err := DomainWorstCase(pl, topo, s, k, budget)
+		dres, err := Attack(pl, Target{S: s, D: k, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +434,7 @@ func TestBudgetFrontierParity(t *testing.T) {
 		}
 	}
 	// And the unbudgeted runs agree state-for-state.
-	dfull, err := DomainWorstCase(pl, topo, s, k, 0)
+	dfull, err := Attack(pl, Target{S: s, D: k, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

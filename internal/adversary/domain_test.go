@@ -85,7 +85,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 		d := 1 + rng.Intn(topo.NumDomains()-1)
 
 		want := referenceDomainWorst(pl, topo, s, d)
-		ex, err := DomainExhaustive(pl, topo, s, d)
+		ex, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 			t.Errorf("witness has %d domains, want %d", len(ex.Domains), d)
 		}
 
-		bnb, err := DomainWorstCase(pl, topo, s, d, 0)
+		bnb, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 			t.Errorf("B&B visited %d > exhaustive %d: pruning is not working", bnb.Visited, ex.Visited)
 		}
 
-		greedy, err := DomainGreedy(pl, topo, s, d)
+		greedy, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 			t.Errorf("trial %d: greedy %d exceeds exact %d", trial, greedy.Failed, want)
 		}
 		// Every witness must reproduce its claimed damage.
-		for _, res := range []DomainResult{ex, bnb, greedy} {
+		for _, res := range []Result{ex, bnb, greedy} {
 			if f := pl.FailedObjects(topo.FailedSet(res.Domains), s); f != res.Failed {
 				t.Errorf("trial %d: witness %v reproduces %d failures, reported %d",
 					trial, res.Domains, f, res.Failed)
@@ -155,7 +155,7 @@ func TestConstrainedEnginesCrossCheck(t *testing.T) {
 		}
 
 		want := referenceConstrainedWorst(pl, topo, s, k, d)
-		ex, err := ConstrainedExhaustive(pl, topo, s, k, d)
+		ex, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestConstrainedEnginesCrossCheck(t *testing.T) {
 			t.Errorf("trial %d (n=%d r=%d b=%d s=%d k=%d racks=%d d=%d): ConstrainedExhaustive = %d, reference = %d",
 				trial, n, r, b, s, k, racks, d, ex.Failed, want)
 		}
-		bnb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		bnb, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,13 +193,13 @@ func TestConstrainedBracketsNodeAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, k = 2, 4
-	free, err := WorstCase(pl, s, k, 0)
+	free, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := -1
 	for d := 1; d <= topo.NumDomains(); d++ {
-		res, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		res, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,20 +226,20 @@ func TestDomainAdversaryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DomainExhaustive(pl, topo, 0, 1); err == nil {
+	if _, err := Attack(pl, Target{S: 0, D: 1, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive}); err == nil {
 		t.Error("s = 0 accepted")
 	}
-	if _, err := DomainExhaustive(pl, topo, 3, 1); err == nil {
+	if _, err := Attack(pl, Target{S: 3, D: 1, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive}); err == nil {
 		t.Error("s > r accepted")
 	}
-	if _, err := DomainWorstCase(pl, topo, 1, 0, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, D: 0, Topo: topo, Level: topology.Leaf}, SearchOpts{}); err == nil {
 		t.Error("d = 0 accepted")
 	}
-	if _, err := DomainWorstCase(pl, topo, 1, 4, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{}); err == nil {
 		t.Error("d > NumDomains accepted")
 	}
 	// d = NumDomains is the "everything fails" query and must work.
-	all, err := DomainWorstCase(pl, topo, 1, 3, 0)
+	all, err := Attack(pl, Target{S: 1, D: 3, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatalf("d = NumDomains rejected: %v", err)
 	}
@@ -250,13 +250,13 @@ func TestDomainAdversaryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DomainGreedy(pl, other, 1, 1); err == nil {
+	if _, err := Attack(pl, Target{S: 1, D: 1, Topo: other, Level: topology.Leaf}, SearchOpts{Engine: Greedy}); err == nil {
 		t.Error("mismatched topology size accepted")
 	}
-	if _, err := ConstrainedWorstCase(pl, topo, 1, 6, 2, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 6, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{}); err == nil {
 		t.Error("k >= n accepted")
 	}
-	if _, err := ConstrainedWorstCase(pl, topo, 1, 2, 4, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 2, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{}); err == nil {
 		t.Error("d > NumDomains accepted")
 	}
 }
@@ -273,10 +273,16 @@ func TestDomainFewerLoadedDomainsThanD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() (DomainResult, error){
-		"exhaustive": func() (DomainResult, error) { return DomainExhaustive(pl, topo, 2, 2) },
-		"greedy":     func() (DomainResult, error) { return DomainGreedy(pl, topo, 2, 2) },
-		"bnb":        func() (DomainResult, error) { return DomainWorstCase(pl, topo, 2, 2, 0) },
+	for name, run := range map[string]func() (Result, error){
+		"exhaustive": func() (Result, error) {
+			return Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
+		},
+		"greedy": func() (Result, error) {
+			return Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy})
+		},
+		"bnb": func() (Result, error) {
+			return Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
+		},
 	} {
 		res, err := run()
 		if err != nil {
@@ -299,11 +305,11 @@ func TestDomainBudgetDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := DomainWorstCase(pl, topo, 2, 4, 0)
+	full, err := Attack(pl, Target{S: 2, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := DomainWorstCase(pl, topo, 2, 4, 3)
+	tiny, err := Attack(pl, Target{S: 2, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,16 +335,16 @@ func TestDomainVsNodeAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, d = 2, 2
-	dom, err := DomainWorstCase(pl, topo, s, d, 0)
+	dom, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodesCovered := len(dom.Nodes)
-	few, err := WorstCase(pl, s, d, 0) // d free nodes
+	few, err := Attack(pl, Target{S: s, K: d}, SearchOpts{}) // d free nodes
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := WorstCase(pl, s, nodesCovered, 0) // as many free nodes as the racks held
+	many, err := Attack(pl, Target{S: s, K: nodesCovered}, SearchOpts{}) // as many free nodes as the racks held
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestForkIsolation(t *testing.T) {
 	}
 	pl := randomPlacement(rng, 12, 3, 24)
 	const s, d = 2, 2
-	se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, SearchOpts{})
+	se, err := NewSession(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestForkIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := DomainWorstCase(cur, topo, s, d, 0)
+		cold, err := Attack(cur, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestForkIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := DomainWorstCase(parentCur, topo, s, d, 0)
+		cold, err := Attack(parentCur, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestProbeMovesDeterministic(t *testing.T) {
 	var want []SessionResult
 	var wantStats SessionStats
 	for _, workers := range []int{1, 2, 8} {
-		se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, SearchOpts{})
+		se, err := NewSession(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestProbeMovesDeterministic(t *testing.T) {
 					}
 					continue
 				}
-				cold, err := DomainWorstCase(cur, topo, s, d, 0)
+				cold, err := Attack(cur, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestSessionMemoEviction(t *testing.T) {
 	const s, k = 2, 3
 	// Cap far below the chain's distinct placements: one entry per
 	// shard at most.
-	se, err := NewNodeSession(pl, s, k, SearchOpts{MemoCap: memoShards})
+	se, err := NewSession(pl, Target{S: s, K: k}, SearchOpts{MemoCap: memoShards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMoveIntoScratchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := randomPlacement(rng, 12, 3, 24)
-	se, err := NewDomainSession(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
+	se, err := NewSession(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

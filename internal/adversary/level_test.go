@@ -60,22 +60,22 @@ func TestSingletonLevelParity(t *testing.T) {
 		dRack := 1 + rng.Intn(zones*racksPerZone-1)
 		dZone := 1 + rng.Intn(zones)
 		k := 1 + rng.Intn(n/3)
-		type engine func(topo *topology.Topology, level, d int) (DomainResult, error)
+		type engine func(topo *topology.Topology, level, d int) (Result, error)
 		engines := map[string]engine{
-			"exhaustive": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainExhaustiveAt(pl, topo, level, s, d)
+			"exhaustive": func(topo *topology.Topology, level, d int) (Result, error) {
+				return Attack(pl, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{Engine: Exhaustive})
 			},
-			"greedy": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainGreedyAt(pl, topo, level, s, d)
+			"greedy": func(topo *topology.Topology, level, d int) (Result, error) {
+				return Attack(pl, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{Engine: Greedy})
 			},
-			"worstcase": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainWorstCaseAt(pl, topo, level, s, d, 0)
+			"worstcase": func(topo *topology.Topology, level, d int) (Result, error) {
+				return Attack(pl, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{})
 			},
-			"worstcase-par": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainWorstCaseParAt(pl, topo, level, s, d, 0, 4)
+			"worstcase-par": func(topo *topology.Topology, level, d int) (Result, error) {
+				return Attack(pl, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{Workers: 4})
 			},
-			"constrained": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return ConstrainedWorstCaseAt(pl, topo, level, s, k, d, 0)
+			"constrained": func(topo *topology.Topology, level, d int) (Result, error) {
+				return Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: level}, SearchOpts{})
 			},
 		}
 		for name, run := range engines {
@@ -102,10 +102,10 @@ func TestSingletonLevelParity(t *testing.T) {
 	}
 }
 
-// comparePair asserts two DomainResults are identical; visited-state
+// comparePair asserts two Results are identical; visited-state
 // equality is skipped for the parallel engine, whose exploration order
 // is schedule-dependent (damage and exactness still must match).
-func comparePair(t *testing.T, trial int, engine, level string, a, b DomainResult, checkVisited bool) {
+func comparePair(t *testing.T, trial int, engine, level string, a, b Result, checkVisited bool) {
 	t.Helper()
 	if a.Failed != b.Failed || a.Exact != b.Exact {
 		t.Errorf("trial %d %s @%s: depth-3 {failed %d exact %v} != depth-2 {failed %d exact %v}",
@@ -124,7 +124,7 @@ func comparePair(t *testing.T, trial int, engine, level string, a, b DomainResul
 }
 
 // TestLevelValidation pins the level plumbing's error handling and the
-// plain-name ≡ leaf-level contract.
+// DomainWorstCase ≡ leaf-level contract.
 func TestLevelValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	pl := randomPlacement(rng, 12, 3, 20)
@@ -133,10 +133,10 @@ func TestLevelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, level := range []int{2, 5, -2} {
-		if _, err := DomainWorstCaseAt(pl, topo, level, 2, 1, 0); err == nil {
+		if _, err := Attack(pl, Target{S: 2, D: 1, Topo: topo, Level: level}, SearchOpts{}); err == nil {
 			t.Errorf("level %d accepted on a depth-2 topology", level)
 		}
-		if _, err := ConstrainedWorstCaseAt(pl, topo, level, 2, 2, 1, 0); err == nil {
+		if _, err := Attack(pl, Target{S: 2, K: 2, D: 1, Topo: topo, Level: level}, SearchOpts{}); err == nil {
 			t.Errorf("constrained level %d accepted on a depth-2 topology", level)
 		}
 	}
@@ -144,11 +144,11 @@ func TestLevelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := DomainWorstCaseAt(pl, topo, topology.Leaf, 2, 2, 0)
+	leaf, err := Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := DomainWorstCaseAt(pl, topo, 1, 2, 2, 0)
+	explicit, err := Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: 1}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestLevelValidation(t *testing.T) {
 	// d is validated against the attacked level's domain count: level 0
 	// has 2 zones, so d = 4 must be rejected there even though the leaf
 	// level's 6 racks accept it.
-	if _, err := DomainWorstCaseAt(pl, topo, 0, 2, 4, 0); err == nil {
+	if _, err := Attack(pl, Target{S: 2, D: 4, Topo: topo, Level: 0}, SearchOpts{}); err == nil {
 		t.Error("d = 4 accepted at a 2-domain level")
 	}
 	// Attacking the top level ≡ attacking the same partition directly.
-	top, err := DomainWorstCaseAt(pl, topo, 0, 2, 1, 0)
+	top, err := Attack(pl, Target{S: 2, D: 1, Topo: topo, Level: 0}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLevelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := DomainWorstCase(pl, flat, 2, 1, 0)
+	direct, err := Attack(pl, Target{S: 2, D: 1, Topo: flat, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/combin"
@@ -21,12 +22,12 @@ func TestWorstCaseParallelMatchesSequential(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		seq, err := WorstCase(pl, s, k, 0)
+		seq, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			par, err := WorstCaseParallel(pl, s, k, 0, workers)
+			par, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +50,7 @@ func TestWorstCaseParallelMatchesSequential(t *testing.T) {
 func TestWorstCaseParallelBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pl := randomPlacement(rng, 24, 3, 300)
-	res, err := WorstCaseParallel(pl, 2, 5, 50, 2)
+	res, err := Attack(pl, Target{S: 2, K: 5}, SearchOpts{Budget: 50, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestWorstCaseParallelBudget(t *testing.T) {
 	if res.Failed <= 0 {
 		t.Error("budgeted parallel search lost the greedy incumbent")
 	}
-	exact, err := WorstCase(pl, 2, 5, 0)
+	exact, err := Attack(pl, Target{S: 2, K: 5}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +77,15 @@ func TestWorstCaseParallelDegenerate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := WorstCaseParallel(pl, 2, 4, 0, 3)
+	res, err := Attack(pl, Target{S: 2, K: 4}, SearchOpts{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Failed != 3 {
 		t.Errorf("Failed = %d, want 3", res.Failed)
 	}
-	// Single worker delegates to WorstCase.
-	res, err = WorstCaseParallel(pl, 2, 4, 0, 1)
+	// A single worker runs the serial search.
+	res, err = Attack(pl, Target{S: 2, K: 4}, SearchOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestDomainWorstCaseParBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DomainWorstCasePar(pl, topo, 2, 4, 10, 2)
+	res, err := Attack(pl, Target{S: 2, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: 10, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDomainWorstCaseParBudget(t *testing.T) {
 	if res.Failed <= 0 {
 		t.Error("budgeted parallel domain search lost the greedy incumbent")
 	}
-	exact, err := DomainWorstCase(pl, topo, 2, 4, 0)
+	exact, err := Attack(pl, Target{S: 2, D: 4, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDomainWorstCaseParDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		res, err := DomainWorstCasePar(pl, topo, 2, 2, 0, workers)
+		res, err := Attack(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,15 +153,19 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ConstrainedWorstCase(pl, topo, 2, 5, 2, 0)
+	exact, err := Attack(pl, Target{S: 2, K: 5, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Serial and parallel share the abort semantics: a drained budget
 	// ends the subset sweep with the incumbent so far, inexactly.
-	for name, run := range map[string]func() (DomainResult, error){
-		"serial":   func() (DomainResult, error) { return ConstrainedWorstCase(pl, topo, 2, 5, 2, 20) },
-		"parallel": func() (DomainResult, error) { return ConstrainedWorstCasePar(pl, topo, 2, 5, 2, 20, 3) },
+	for name, run := range map[string]func() (Result, error){
+		"serial": func() (Result, error) {
+			return Attack(pl, Target{S: 2, K: 5, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: 20})
+		},
+		"parallel": func() (Result, error) {
+			return Attack(pl, Target{S: 2, K: 5, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: 20, Workers: 3})
+		},
 	} {
 		res, err := run()
 		if err != nil {
@@ -178,6 +183,39 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 	}
 }
 
+// TestConstrainedWitnessDeterministic pins the constrained sweep's
+// witness at any worker count. The instance has equal-damage attacks in
+// different domain subsets; the first subset in enumeration order must
+// win every time, as it does serially, however the workers interleave.
+func TestConstrainedWitnessDeterministic(t *testing.T) {
+	pl := randomPlacement(rand.New(rand.NewSource(1)), 24, 3, 300)
+	topo, err := topology.Uniform(24, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Target{S: 2, K: 5, D: 2, Topo: topo}
+	want, err := Attack(pl, target, SearchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Exact || want.Failed != 48 ||
+		!reflect.DeepEqual(want.Nodes, []int{8, 9, 10, 17, 19}) || !reflect.DeepEqual(want.Domains, []int{2, 4}) {
+		t.Fatalf("serial witness = %+v, want 48 failed by nodes [8 9 10 17 19] in domains [2 4]", want)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		for run := 0; run < 30; run++ {
+			got, err := Attack(pl, target, SearchOpts{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Failed != want.Failed || !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Domains, want.Domains) {
+				t.Fatalf("workers=%d run %d: {failed %d nodes %v domains %v}, serial {failed %d nodes %v domains %v}",
+					workers, run, got.Failed, got.Nodes, got.Domains, want.Failed, want.Nodes, want.Domains)
+			}
+		}
+	}
+}
+
 // TestBudgetedParallelAlwaysValidAttack pins the only run-invariant
 // contract the budgeted+parallel regime offers. Which incumbent wins a
 // budget race legitimately varies run to run (see the scheduling note
@@ -189,7 +227,7 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	pl := randomPlacement(rng, 24, 3, 300)
 	const s, k = 2, 5
-	exact, err := WorstCase(pl, s, k, 0)
+	exact, err := Attack(pl, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +235,12 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactDom, err := DomainWorstCase(pl, topo, s, 3, 0)
+	exactDom, err := Attack(pl, Target{S: s, D: 3, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 6; run++ {
-		res, err := WorstCaseParallel(pl, s, k, 60, 4)
+		res, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Budget: 60, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +258,7 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 			t.Fatalf("run %d: claims exact with damage %d, optimum is %d", run, res.Failed, exact.Failed)
 		}
 
-		dom, err := DomainWorstCasePar(pl, topo, s, 3, 60, 4)
+		dom, err := Attack(pl, Target{S: s, D: 3, Topo: topo, Level: topology.Leaf}, SearchOpts{Budget: 60, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +282,11 @@ func TestWorstCaseParallelOnStructuredPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := WorstCase(pl, 2, 4, 0)
+	seq, err := Attack(pl, Target{S: 2, K: 4}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := WorstCaseParallel(pl, 2, 4, 0, 0) // 0 => GOMAXPROCS
+	par, err := Attack(pl, Target{S: 2, K: 4}, SearchOpts{Workers: -1}) // < 0 => GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

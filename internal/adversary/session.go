@@ -15,7 +15,7 @@ import (
 // search.HitInstance per engine configuration, kept in sync with a
 // placement across one-replica moves, so chains of nearly identical
 // evaluations (spread candidate scoring, reconciler re-plans) skip the
-// per-call instance rebuild the one-shot engines pay.
+// per-call instance rebuild a one-shot Attack pays.
 //
 // Three accelerations stack, every one provably exact:
 //
@@ -74,7 +74,7 @@ type lastEval struct {
 	ids []int // witness identities (node or domain ids), ascending
 }
 
-// SessionResult is one evaluation's outcome, a DomainResult-shaped
+// SessionResult is one evaluation's outcome, a Result-shaped
 // answer plus the incremental provenance flags.
 type SessionResult struct {
 	Failed  int   // objects (or weight, under ObjWeights) failed by the best attack found
@@ -118,52 +118,29 @@ func (st *SessionStats) add(o SessionStats) {
 	st.BatchProbes += o.BatchProbes
 }
 
-// NewNodeSession opens an incremental session for the node-level
-// adversary (the WorstCase family): k node failures, fatality
-// threshold s, searched per opts. The session copies pl and owns its
-// copy; drive it with Move/Evaluate.
-func NewNodeSession(pl *placement.Placement, s, k int, opts SearchOpts) (*Session, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
+// NewSession opens an incremental session for a node target (K node
+// failures) or a whole-domain target (D domains at the target's Level),
+// searched by branch-and-bound per opts. The session copies pl and owns
+// its copy; drive it with Move/Evaluate. Constrained targets and the
+// Exhaustive and Greedy engines have no incremental form and are
+// rejected.
+func NewSession(pl *placement.Placement, t Target, opts SearchOpts) (*Session, error) {
+	if opts.Engine != BranchAndBound {
+		return nil, fmt.Errorf("adversary: sessions search by branch-and-bound, not engine %d", opts.Engine)
 	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if k < 1 || k >= pl.N {
-		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
-	}
-	if err := checkObjWeights(opts.ObjWeights, pl.B()); err != nil {
-		return nil, err
-	}
-	se := &Session{s: s, k: k, opts: opts, pl: pl.Clone(),
-		inst: search.NewHitInstance(s, pl.B()),
-		memo: newSessionMemo(opts.resolveMemoCap())}
-	se.rebuild()
-	return se, nil
-}
-
-// NewDomainSession opens an incremental session for the whole-domain
-// adversary (the DomainWorstCase family) at the given topology level:
-// d whole-domain failures per evaluation.
-func NewDomainSession(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (*Session, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	flat, err := collapseTo(pl, topo, level)
+	flat, err := t.check(pl, opts.ObjWeights)
 	if err != nil {
 		return nil, err
 	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
+	k := t.K
+	if flat != nil {
+		if t.K != 0 {
+			return nil, fmt.Errorf("adversary: sessions take node or whole-domain targets, not a constrained one (k = %d, d = %d)", t.K, t.D)
+		}
+		k = t.D
 	}
-	if d < 1 || d > flat.NumDomains() {
-		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, flat.NumDomains())
-	}
-	if err := checkObjWeights(opts.ObjWeights, pl.B()); err != nil {
-		return nil, err
-	}
-	se := &Session{s: s, k: d, topo: flat, opts: opts, pl: pl.Clone(),
-		inst: search.NewHitInstance(s, pl.B()),
+	se := &Session{s: t.S, k: k, topo: flat, opts: opts, pl: pl.Clone(),
+		inst: search.NewHitInstance(t.S, pl.B()),
 		memo: newSessionMemo(opts.resolveMemoCap())}
 	se.rebuild()
 	return se, nil
@@ -396,16 +373,7 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 		se.stats.BracketSkips++
 		res = search.Result{Failed: seed.Failed, Sel: seed.Sel, Exact: true}
 	} else {
-		bud := search.NewBudget(se.opts.Budget)
-		if workers := se.opts.resolveWorkers(); workers > 1 {
-			// The work-stealing driver unwinds the probe before its
-			// workers exit, so se.inst stays clean for the next eval.
-			res, _ = search.BranchAndBoundParallelWith(se.inst, func() (search.Instance, error) {
-				return se.inst.Clone(), nil
-			}, seed, bud, workers, se.opts.Bound)
-		} else {
-			res = search.BranchAndBoundWith(se.inst, seed, bud, se.opts.Bound)
-		}
+		res = branchAndBound(se.inst, seed, search.NewBudget(se.opts.Budget), se.opts)
 		se.stats.Visited += res.Visited
 	}
 
@@ -420,18 +388,8 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 
 // translate maps a core result from candidate positions to identities.
 func (se *Session) translate(res search.Result) SessionResult {
-	ids := make([]int, len(res.Sel))
-	for i, ci := range res.Sel {
-		ids[i] = se.ids[ci]
-	}
-	sort.Ints(ids)
 	out := SessionResult{Failed: res.Failed, Exact: res.Exact, Visited: res.Visited}
-	if se.topo != nil {
-		out.Domains = ids
-		out.Nodes = se.topo.FailedSet(ids).Members(nil)
-	} else {
-		out.Nodes = ids
-	}
+	out.Domains, out.Nodes = witness(se.topo, se.ids, res.Sel)
 	return out
 }
 
@@ -602,7 +560,7 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 // rebuild (re)derives the live instance from the session's placement:
 // every node (or attack-level domain) is a candidate — any move target
 // must exist — ordered canonically by weighted load descending, ties
-// by id ascending, exactly how the one-shot engines order theirs. The
+// by id ascending, exactly how a one-shot Attack orders its own. The
 // id ↔ position maps then track every ApplyMove re-sort through the
 // EnableMoves onSwap mirror.
 func (se *Session) rebuild() {
@@ -625,12 +583,7 @@ func (se *Session) rebuild() {
 	for i := range se.ids {
 		se.ids[i] = i
 	}
-	sort.Slice(se.ids, func(a, b int) bool {
-		if wloads[se.ids[a]] != wloads[se.ids[b]] {
-			return wloads[se.ids[a]] > wloads[se.ids[b]]
-		}
-		return se.ids[a] < se.ids[b]
-	})
+	byLoad(se.ids, wloads)
 	for i, id := range se.ids {
 		se.pos[id] = i
 		se.keys[i] = int32(id)

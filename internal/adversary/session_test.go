@@ -44,15 +44,15 @@ func randomSessionMove(rng *rand.Rand, pl *placement.Placement) (obj, from, to i
 
 // TestSessionNodeMatchesEngines drives random move chains through a
 // node-level session and checks every incremental answer against the
-// engines rebuilding from scratch: exact damage equals WorstCaseWith
-// and ExhaustiveWith, greedy stays a lower bound, and the witness
-// replays to the claimed damage.
+// engines rebuilding from scratch: exact damage equals Attack's
+// branch-and-bound and Exhaustive engines, greedy stays a lower bound,
+// and the witness replays to the claimed damage.
 func TestSessionNodeMatchesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 4; trial++ {
 		n, r, b, s, k := 10+rng.Intn(3), 3, 20+rng.Intn(15), 2, 3
 		pl := randomPlacement(rng, n, r, b)
-		se, err := NewNodeSession(pl, s, k, SearchOpts{})
+		se, err := NewSession(pl, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,21 +72,21 @@ func TestSessionNodeMatchesEngines(t *testing.T) {
 			if replay := damageOf(cur, got.Nodes, s, nil); replay != got.Failed {
 				t.Fatalf("witness %v replays to %d, session claims %d", got.Nodes, replay, got.Failed)
 			}
-			cold, err := WorstCaseWith(cur, s, k, SearchOpts{})
+			cold, err := Attack(cur, Target{S: s, K: k}, SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Failed != cold.Failed {
 				t.Fatalf("move %d: session damage %d, cold engine %d", mv, got.Failed, cold.Failed)
 			}
-			exh, err := Exhaustive(cur, s, k)
+			exh, err := Attack(cur, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Failed != exh.Failed {
 				t.Fatalf("move %d: session damage %d, exhaustive %d", mv, got.Failed, exh.Failed)
 			}
-			gr, err := Greedy(cur, s, k)
+			gr, err := Attack(cur, Target{S: s, K: k}, SearchOpts{Engine: Greedy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,8 +99,8 @@ func TestSessionNodeMatchesEngines(t *testing.T) {
 
 // TestSessionDomainMatchesEngines is the domain-mode differential:
 // move chains through sessions at the rack and zone levels, unweighted
-// and weighted, against the DomainWorstCase and DomainExhaustive
-// engines on the moved placement.
+// and weighted, against whole-domain Attacks (branch-and-bound and
+// Exhaustive) on the moved placement.
 func TestSessionDomainMatchesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 4; trial++ {
@@ -118,7 +118,7 @@ func TestSessionDomainMatchesEngines(t *testing.T) {
 			}
 		}
 		for _, level := range []int{topology.Leaf, 0} {
-			se, err := NewDomainSession(pl, topo, level, s, d, SearchOpts{ObjWeights: w})
+			se, err := NewSession(pl, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{ObjWeights: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,14 +139,14 @@ func TestSessionDomainMatchesEngines(t *testing.T) {
 					t.Fatalf("level %d witness domains %v replay to %d, session claims %d",
 						level, got.Domains, replay, got.Failed)
 				}
-				cold, err := DomainWorstCaseAtWith(cur, topo, level, s, d, SearchOpts{ObjWeights: w})
+				cold, err := Attack(cur, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{ObjWeights: w})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Failed != cold.Failed {
 					t.Fatalf("level %d move %d: session damage %d, cold engine %d", level, mv, got.Failed, cold.Failed)
 				}
-				exh, err := DomainExhaustiveAtWith(cur, topo, level, s, d, SearchOpts{ObjWeights: w})
+				exh, err := Attack(cur, Target{S: s, D: d, Topo: topo, Level: level}, SearchOpts{Engine: Exhaustive, ObjWeights: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func TestSessionEvaluatePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pl := randomPlacement(rng, 12, 3, 30)
 	const s, k = 2, 3
-	se, err := NewNodeSession(pl, s, k, SearchOpts{})
+	se, err := NewSession(pl, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSessionEvaluatePaths(t *testing.T) {
 	if se.Stats().Moves == 0 {
 		t.Fatalf("one-move diff did not ride the CSR delta path")
 	}
-	cold, err := WorstCaseWith(moved, s, k, SearchOpts{})
+	cold, err := Attack(moved, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSessionEvaluatePaths(t *testing.T) {
 	if se.Stats().Rebuilds == preRebuilds {
 		t.Fatalf("multi-move diff did not rebuild")
 	}
-	coldFar, err := WorstCaseWith(far, s, k, SearchOpts{})
+	coldFar, err := Attack(far, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSessionNoopMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewDomainSession(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
+	se, err := NewSession(pl, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSessionNoopMove(t *testing.T) {
 		if got.Failed != base.Failed || !got.Exact {
 			t.Fatalf("same-rack move changed the reported worst case: %d → %d", base.Failed, got.Failed)
 		}
-		cold, err := DomainWorstCase(cur, topo, 2, 2, 0)
+		cold, err := Attack(cur, Target{S: 2, D: 2, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,13 +312,13 @@ func TestSessionConcurrentEvaluators(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cold, err := WorstCaseWith(p, s, k, SearchOpts{})
+		cold, err := Attack(p, Target{S: s, K: k}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		placements[i], want[i] = p, cold.Failed
 	}
-	se, err := NewNodeSession(base, s, k, SearchOpts{})
+	se, err := NewSession(base, Target{S: s, K: k}, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +377,11 @@ func TestConstrainedPairAfterMoves(t *testing.T) {
 			}
 		}
 		s, k, d := 2, 3, 2
-		bb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		bb, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exh, err := ConstrainedExhaustive(pl, topo, s, k, d)
+		exh, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,12 +406,12 @@ func TestSessionMoveRangeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sessions := map[string]*Session{}
-	if se, err := NewNodeSession(pl, s, 3, SearchOpts{}); err != nil {
+	if se, err := NewSession(pl, Target{S: s, K: 3}, SearchOpts{}); err != nil {
 		t.Fatal(err)
 	} else {
 		sessions["node"] = se
 	}
-	if se, err := NewDomainSession(pl, topo, topology.Leaf, s, 1, SearchOpts{}); err != nil {
+	if se, err := NewSession(pl, Target{S: s, D: 1, Topo: topo, Level: topology.Leaf}, SearchOpts{}); err != nil {
 		t.Fatal(err)
 	} else {
 		sessions["domain"] = se
@@ -450,13 +450,13 @@ func TestSessionMoveRangeError(t *testing.T) {
 			}
 			var want int
 			if name == "node" {
-				cold, err := ExhaustiveWith(pl, s, 3, SearchOpts{})
+				cold, err := Attack(pl, Target{S: s, K: 3}, SearchOpts{Engine: Exhaustive})
 				if err != nil {
 					t.Fatal(err)
 				}
 				want = cold.Failed
 			} else {
-				cold, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, 1, SearchOpts{})
+				cold, err := Attack(pl, Target{S: s, D: 1, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -73,16 +73,15 @@ func TestWeightedNodeEnginesDifferential(t *testing.T) {
 		pl := randomPlacement(rng, n, r, b)
 		w := randObjWeights(rng, b)
 		want := referenceWeightedWorst(pl, s, k, w)
-		opts := SearchOpts{ObjWeights: w}
 
-		ex, err := ExhaustiveWith(pl, s, k, opts)
+		ex, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive, ObjWeights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Failed != want {
 			t.Errorf("trial %d: weighted Exhaustive %d, oracle %d", trial, ex.Failed, want)
 		}
-		gr, err := GreedyWith(pl, s, k, opts)
+		gr, err := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy, ObjWeights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func TestWeightedNodeEnginesDifferential(t *testing.T) {
 			t.Errorf("trial %d: weighted Greedy %d exceeds oracle %d", trial, gr.Failed, want)
 		}
 		for _, workers := range []int{1, 4} {
-			res, err := WorstCaseWith(pl, s, k, SearchOpts{ObjWeights: w, Workers: workers})
+			res, err := Attack(pl, Target{S: s, K: k}, SearchOpts{ObjWeights: w, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,16 +122,15 @@ func TestWeightedDomainEnginesDifferential(t *testing.T) {
 		d := 1 + rng.Intn(topo.NumDomains())
 		w := randObjWeights(rng, b)
 		want := referenceWeightedDomainWorst(pl, topo, s, d, w)
-		opts := SearchOpts{ObjWeights: w}
 
-		ex, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, opts)
+		ex, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive, ObjWeights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Failed != want {
 			t.Errorf("trial %d: weighted DomainExhaustive %d, oracle %d", trial, ex.Failed, want)
 		}
-		gr, err := DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, opts)
+		gr, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy, ObjWeights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +138,7 @@ func TestWeightedDomainEnginesDifferential(t *testing.T) {
 			t.Errorf("trial %d: weighted DomainGreedy %d exceeds oracle %d", trial, gr.Failed, want)
 		}
 		for _, workers := range []int{1, 4} {
-			res, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{ObjWeights: w, Workers: workers})
+			res, err := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{ObjWeights: w, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +168,7 @@ func TestWeightedDomainEnginesDifferential(t *testing.T) {
 			})
 			return true
 		})
-		conEx, err := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, opts)
+		conEx, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive, ObjWeights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +176,7 @@ func TestWeightedDomainEnginesDifferential(t *testing.T) {
 			t.Errorf("trial %d: weighted ConstrainedExhaustive %d, oracle %d", trial, conEx.Failed, wantCon)
 		}
 		for _, workers := range []int{1, 4} {
-			conRes, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{ObjWeights: w, Workers: workers})
+			conRes, err := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{ObjWeights: w, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +217,7 @@ func TestWeightedUnitParity(t *testing.T) {
 				t.Errorf("trial %d %s: unit weights diverge: %+v vs %+v", trial, name, plain, weighted)
 			}
 		}
-		checkDomain := func(name string, plain DomainResult, perr error, weighted DomainResult, werr error) {
+		checkDomain := func(name string, plain Result, perr error, weighted Result, werr error) {
 			t.Helper()
 			if perr != nil || werr != nil {
 				t.Fatalf("trial %d %s: %v / %v", trial, name, perr, werr)
@@ -230,18 +228,18 @@ func TestWeightedUnitParity(t *testing.T) {
 		}
 
 		{
-			a, aerr := Exhaustive(pl, s, k)
-			b2, berr := ExhaustiveWith(pl, s, k, wopts)
+			a, aerr := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive})
+			b2, berr := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Exhaustive, ObjWeights: ones})
 			checkNode("Exhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := Greedy(pl, s, k)
-			b2, berr := GreedyWith(pl, s, k, wopts)
+			a, aerr := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy})
+			b2, berr := Attack(pl, Target{S: s, K: k}, SearchOpts{Engine: Greedy, ObjWeights: ones})
 			checkNode("Greedy", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := WorstCase(pl, s, k, 0)
-			b2, berr := WorstCaseWith(pl, s, k, wopts)
+			a, aerr := Attack(pl, Target{S: s, K: k}, SearchOpts{})
+			b2, berr := Attack(pl, Target{S: s, K: k}, wopts)
 			checkNode("WorstCase", a, aerr, b2, berr)
 			if len(a.Nodes) != len(b2.Nodes) {
 				t.Errorf("trial %d: witness length diverges: %v vs %v", trial, a.Nodes, b2.Nodes)
@@ -255,28 +253,28 @@ func TestWeightedUnitParity(t *testing.T) {
 			}
 		}
 		{
-			a, aerr := DomainExhaustive(pl, topo, s, d)
-			b2, berr := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, wopts)
+			a, aerr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
+			b2, berr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive, ObjWeights: ones})
 			checkDomain("DomainExhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := DomainGreedy(pl, topo, s, d)
-			b2, berr := DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, wopts)
+			a, aerr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy})
+			b2, berr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Greedy, ObjWeights: ones})
 			checkDomain("DomainGreedy", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := DomainWorstCase(pl, topo, s, d, 0)
-			b2, berr := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, wopts)
+			a, aerr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
+			b2, berr := Attack(pl, Target{S: s, D: d, Topo: topo, Level: topology.Leaf}, wopts)
 			checkDomain("DomainWorstCase", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := ConstrainedExhaustive(pl, topo, s, k, d)
-			b2, berr := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, wopts)
+			a, aerr := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive})
+			b2, berr := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{Engine: Exhaustive, ObjWeights: ones})
 			checkDomain("ConstrainedExhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := ConstrainedWorstCase(pl, topo, s, k, d, 0)
-			b2, berr := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, wopts)
+			a, aerr := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, SearchOpts{})
+			b2, berr := Attack(pl, Target{S: s, K: k, D: d, Topo: topo, Level: topology.Leaf}, wopts)
 			checkDomain("ConstrainedWorstCase", a, aerr, b2, berr)
 		}
 	}
@@ -286,12 +284,12 @@ func TestWeightedUnitParity(t *testing.T) {
 func TestObjWeightsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	pl := randomPlacement(rng, 6, 2, 8)
-	if _, err := ExhaustiveWith(pl, 1, 2, SearchOpts{ObjWeights: []int64{1, 2}}); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 2}, SearchOpts{Engine: Exhaustive, ObjWeights: []int64{1, 2}}); err == nil {
 		t.Error("short weight vector accepted")
 	}
 	bad := make([]int64, pl.B())
 	bad[3] = -1
-	if _, err := WorstCaseWith(pl, 1, 2, SearchOpts{ObjWeights: bad}); err == nil {
+	if _, err := Attack(pl, Target{S: 1, K: 2}, SearchOpts{ObjWeights: bad}); err == nil {
 		t.Error("negative weight accepted")
 	}
 }

@@ -238,7 +238,7 @@ func New(pl *placement.Placement, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := adversary.NewDomainSession(pl, cfg.Topo, level, cfg.S, cfg.DFail, cfg.Opts.Search)
+	sess, err := adversary.NewSession(pl, adversary.Target{S: cfg.S, D: cfg.DFail, Topo: cfg.Topo, Level: level}, cfg.Opts.Search)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +282,7 @@ func Load(path string, act Actuator, opts Options) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := adversary.NewDomainSession(pl, topo, ck.Level, ck.S, ck.DFail, opts.Search)
+	sess, err := adversary.NewSession(pl, adversary.Target{S: ck.S, D: ck.DFail, Topo: topo, Level: ck.Level}, opts.Search)
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func TestBuildSteinerUnconstructible(t *testing.T) {
 
 func TestBestOrders(t *testing.T) {
 	// Paper Fig. 4 orders (catalog view), with the 70 -> 64 substitution
-	// for (n=71, r=4, x=1) documented in DESIGN.md.
+	// for (n=71, r=4, x=1): the printed 70 fails divisibility.
 	tests := []struct {
 		t_, k, maxV, want int
 	}{

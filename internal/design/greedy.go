@@ -14,8 +14,8 @@ import (
 // (never a violation), deterministic for a given seed, but its capacity is
 // generally below the design bound of Lemma 1.
 //
-// This is the documented fallback for Steiner orders with no implemented
-// algebraic construction (see DESIGN.md §4). maxBlocks <= 0 means
+// This is the fallback for Steiner orders with no implemented algebraic
+// construction (see SteinerConstructible). maxBlocks <= 0 means
 // unbounded.
 func GreedyPacking(t, v, k, lambda int, seed int64, maxBlocks int64) (*Packing, error) {
 	if t < 1 || k < t || v < k || lambda < 1 {

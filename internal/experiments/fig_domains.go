@@ -188,7 +188,7 @@ func DomainTable(opts DomainOpts) ([]DomainCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		nodeRes, err := adversary.WorstCaseWith(combo, sc.S, sc.K, nodeOpts)
+		nodeRes, err := adversary.Attack(combo, adversary.Target{S: sc.S, K: sc.K}, nodeOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +213,7 @@ func DomainTable(opts DomainOpts) ([]DomainCell, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := adversary.DomainWorstCaseAtWith(pl, topo, level, sc.S, dl, opts)
+			res, err := adversary.Attack(pl, adversary.Target{S: sc.S, D: dl, Topo: topo, Level: level}, opts)
 			if err != nil {
 				return 0, err
 			}

@@ -176,8 +176,8 @@ func newDomainDamage(pl *Placement, topo *topology.Topology, s, d int, w []int64
 // worst d-whole-domain failure, evaluated by the unified search core's
 // exhaustive driver over all C(D, d) domain subsets. It is the
 // placement-side evaluator behind SpreadAcrossDomains' never-worse
-// guarantee and always returns the same damage as package adversary's
-// DomainExhaustive (the candidate sets differ — this adapter keeps
+// guarantee and always returns the same damage as a whole-domain
+// adversary.Attack with the Exhaustive engine (the candidate sets differ — this adapter keeps
 // unloaded domains, the adversary prunes them — so only the result,
 // not the visited-state count, is comparable).
 func WorstDomainDamage(pl *Placement, topo *topology.Topology, s, d int) (int, error) {

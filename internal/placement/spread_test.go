@@ -205,11 +205,11 @@ func TestSpreadNeverWorseUnderAdversaryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obliv, err := adversary.DomainWorstCase(combo, topo, tc.s, tc.d, 0)
+		obliv, err := adversary.Attack(combo, adversary.Target{S: tc.s, D: tc.d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		awareRes, err := adversary.DomainWorstCase(aware, topo, tc.s, tc.d, 0)
+		awareRes, err := adversary.Attack(aware, adversary.Target{S: tc.s, D: tc.d, Topo: topo, Level: topology.Leaf}, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +217,11 @@ func TestSpreadNeverWorseUnderAdversaryEngine(t *testing.T) {
 			t.Errorf("%+v: aware Avail %d < oblivious %d", tc, awareRes.Avail(tc.b), obliv.Avail(tc.b))
 		}
 		// Spreading is label-only: the node-level worst case is unchanged.
-		nodeObliv, err := adversary.WorstCase(combo, tc.s, tc.k, 0)
+		nodeObliv, err := adversary.Attack(combo, adversary.Target{S: tc.s, K: tc.k}, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodeAware, err := adversary.WorstCase(aware, tc.s, tc.k, 0)
+		nodeAware, err := adversary.Attack(aware, adversary.Target{S: tc.s, K: tc.k}, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +543,7 @@ func TestSpreadSessionMatchesOneShotEvaluator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := adversary.DomainWorstCaseAt(spread, topo, lv.level, 2, lv.d, 0)
+			res, err := adversary.Attack(spread, adversary.Target{S: 2, D: lv.d, Topo: topo, Level: lv.level}, adversary.SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,9 +171,9 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 				trial, bnb.Visited, ex.Visited)
 		}
 
-		par, err := BranchAndBoundParallel(newCoverInstance(m, k, s, members), func() (Instance, error) {
+		par, err := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() (Instance, error) {
 			return newCoverInstance(m, k, s, members), nil
-		}, greedy, NewBudget(0), 4)
+		}, greedy, NewBudget(0), 4, BoundResidual)
 		if err != nil {
 			t.Fatal(err)
 		}

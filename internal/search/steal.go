@@ -12,7 +12,7 @@
 // from the head — the *shallowest* range, i.e. the largest subtree —
 // keeping steals rare and the Add/Remove prefix replay amortized.
 //
-// Two shared-atomic hot spots of the old top-level sharding are gone:
+// Two shared-atomic hot spots a per-state design would have are avoided:
 //
 //   - Budget: workers consume states from leased chunks (leaseChunk at
 //     a time, scaled down near the limit so one worker cannot starve
@@ -170,9 +170,7 @@ type ParallelSearch struct {
 // selects GOMAXPROCS. bud is shared (possibly with other searches); nil
 // means unlimited.
 func NewParallelSearch(probe Instance, newInst func() (Instance, error), seed Result, bud *Budget, workers int, bound Bound) (*ParallelSearch, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
+	workers = Workers(workers)
 	instances := make([]Instance, workers)
 	instances[0] = probe
 	for w := 1; w < workers; w++ {

@@ -19,13 +19,12 @@
 //     built from scratch in internal/design;
 //   - the Random load-balanced baseline and its worst-case analysis
 //     (Vuln, prAvail — Theorem 2, Definition 6, Lemma 4);
-//   - an exact/branch-and-bound worst-case adversary for evaluating
-//     Avail(π) on concrete placements;
+//   - one worst-case adversary, Attack, for evaluating Avail(π) on
+//     concrete placements: any k nodes (the paper's), d whole failure
+//     domains of any level of a topology, or k nodes confined to at most
+//     d domains — the Target's shape picks the model;
 //   - failure-domain topologies of any depth (flat racks, zone→rack,
-//     region→zone→rack and deeper, as level-indexed trees), a
-//     domain-correlated adversary that fails whole domains of any
-//     chosen level (the At variants; Topology.Collapse projects a level
-//     to the flat view the shared search core runs on), and a
+//     region→zone→rack and deeper, as level-indexed trees) and a
 //     hierarchical domain-aware spreading post-pass
 //     (SpreadAcrossDomains) that maps abstract node ids onto physical
 //     nodes — optionally under per-rack replica caps — without ever
@@ -40,22 +39,23 @@
 //	avail, _, _ := repro.Avail(pl, 2, 4, 0)               // exact worst case
 //	fmt.Println(bound <= int64(avail))                     // always true
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every figure.
+//	topo, _ := repro.UniformTopology(71, 8)               // 8 racks
+//	rack, _ := repro.Attack(pl, repro.Target{S: 2, D: 1, Topo: topo}, repro.AttackOptions{})
+//	fmt.Println(rack.Avail(600), rack.Domains)            // worst single-rack loss
+//
+// The programs under examples/ drive each part end to end; the
+// internal packages' READMEs hold the design notes behind each layer.
 package repro
 
 import (
-	"io"
-
 	"repro/internal/adversary"
 	"repro/internal/cluster"
-	"repro/internal/controller"
 	"repro/internal/placement"
 	"repro/internal/randplace"
 	"repro/internal/topology"
 )
 
-// Core model types, re-exported from the placement engine.
+// Core model types, re-exported from the internal packages.
 type (
 	// Params are the system model parameters (n, b, r, s, k) in the
 	// paper's notation.
@@ -64,67 +64,27 @@ type (
 	Placement = placement.Placement
 	// ComboSpec is a configured Combo(⟨λx⟩) strategy.
 	ComboSpec = placement.ComboSpec
-	// Unit describes one Simple(x, ·) building block available to Combo.
-	Unit = placement.Unit
-	// SimpleOptions configures concrete Simple placement construction.
-	SimpleOptions = placement.SimpleOptions
-	// AttackResult reports a worst-case failure search outcome.
+	// Target names what an Attack fails; its shape picks the attack
+	// model. Topo == nil fails any K nodes; Topo with K == 0 fails D
+	// whole domains; Topo with both K and D fails K nodes inside at most
+	// D domains. Level is numbered like the replicaplace CLI's -level
+	// flag: 0 is the top (coarsest) level, LeafLevel the racks.
+	Target = adversary.Target
+	// AttackOptions tune an Attack: the engine (exact branch-and-bound
+	// by default, or exhaustive or greedy), the state budget, the worker
+	// fan-out, the pruning bound and per-object weights.
+	AttackOptions = adversary.SearchOpts
+	// AttackResult reports a worst-case failure search outcome: the
+	// damage, the failed nodes (and domains), and whether it is exact.
 	AttackResult = adversary.Result
 	// Topology maps nodes into a level-indexed tree of named failure
 	// domains (regions, zones, racks — any depth >= 1).
 	Topology = topology.Topology
-	// FailureDomain is one named domain of a Topology.
-	FailureDomain = topology.Domain
 	// SpreadOptions tunes SpreadAcrossDomainsWith (per-domain replica
 	// caps at any level, weighted-damage scoring).
 	SpreadOptions = placement.SpreadOpts
-	// CapCertificate explains why a cap set is unsatisfiable: the named
-	// subtree must absorb more replicas than it allows.
-	CapCertificate = placement.CapCert
-	// DomainAttackResult reports a worst-case correlated (whole-domain)
-	// failure search outcome.
-	DomainAttackResult = adversary.DomainResult
 	// SpreadStats summarizes replica spreading over failure domains.
 	SpreadStats = placement.SpreadStats
-	// SpreadTelemetry reports the spread pass's candidate-scoring work
-	// (exact evaluations, memo hits, warm seeds, instance rebuilds);
-	// hand one in via SpreadOptions.Telemetry.
-	SpreadTelemetry = placement.SpreadTelemetry
-	// AttackSession incrementally re-evaluates the worst case across
-	// one-replica re-plans: CSR move deltas instead of instance
-	// rebuilds, warm-started search, and exact-damage memoization by
-	// canonical placement signature.
-	AttackSession = adversary.Session
-	// AttackSessionResult is one AttackSession evaluation: the damage,
-	// witness, exactness, and which acceleration answered it.
-	AttackSessionResult = adversary.SessionResult
-	// AttackSessionStats are an AttackSession's lifetime counters.
-	AttackSessionStats = adversary.SessionStats
-	// AttackOptions are the explicit search options (budget, worker
-	// fan-out, pruning bound, object weights) sessions and the With
-	// engine variants take.
-	AttackOptions = adversary.SearchOpts
-	// Controller is the continuous-operation reconcile loop: it owns a
-	// placement, consumes topology mutations, and re-plans under a
-	// bounded per-step move budget without ever letting worst-case
-	// damage exceed the step's pre-migration guarantee, actuating each
-	// move through a journaled two-phase machine with crash recovery.
-	Controller = controller.Controller
-	// ControllerConfig configures NewController (topology, adversary
-	// level, move budget, data plane, journal path).
-	ControllerConfig = controller.Config
-	// ControllerOptions tunes a Controller's actuation (call timeout,
-	// retries, backoff) and planning (search options, candidate fan-out).
-	ControllerOptions = controller.Options
-	// TopologyMutation is one input event to a Controller: drain, fail
-	// or restore a node, reweight a node, or cap a domain.
-	TopologyMutation = controller.Mutation
-	// ReconcileReport is one reconcile step's transcript: baseline,
-	// resulting damage, per-move actuation records, and typed outcome.
-	ReconcileReport = controller.StepReport
-	// Actuator is the pluggable data plane a Controller drives replica
-	// moves through (PrepareAdd/CommitAdd/DropOld/Abort).
-	Actuator = controller.Actuator
 	// Cluster is a simulated storage cluster using these placements.
 	Cluster = cluster.Cluster
 	// ClusterConfig configures NewCluster.
@@ -139,8 +99,8 @@ const (
 	StrategyRandom = cluster.StrategyRandom
 )
 
-// LeafLevel selects the leaf (finest) level of a topology wherever an
-// attack level is taken — the default the level-less functions use.
+// LeafLevel selects the leaf (finest) level of a topology as a
+// Target's Level.
 const LeafLevel = topology.Leaf
 
 // PlanCombo chooses the availability-optimal Combo configuration ⟨λx⟩ for
@@ -173,12 +133,6 @@ func Materialize(n, r int, spec ComboSpec, b int) (*Placement, error) {
 	return placement.BuildCombo(n, r, spec, b, placement.SimpleOptions{})
 }
 
-// BuildSimple builds a concrete Simple(x, λ) placement of b objects: an
-// (x+1)-(n, r, λ) packing (no x+1 nodes share more than λ objects).
-func BuildSimple(n, r, x, lambda, b int, opts SimpleOptions) (*Placement, error) {
-	return placement.BuildSimple(n, r, x, lambda, b, opts)
-}
-
 // RandomPlacement builds the load-balanced Random baseline placement
 // (Definition 4) for the given parameters.
 func RandomPlacement(p Params, seed int64) (*Placement, error) {
@@ -191,32 +145,21 @@ func RandomPlacement(p Params, seed int64) (*Placement, error) {
 // budget bounds the search and the result reports whether it stayed
 // exact.
 func Avail(pl *Placement, s, k int, budget int64) (int, AttackResult, error) {
-	return adversary.Avail(pl, s, k, budget)
+	res, err := adversary.Attack(pl, Target{S: s, K: k}, AttackOptions{Budget: budget})
+	if err != nil {
+		return 0, AttackResult{}, err
+	}
+	return res.Avail(pl.B()), res, nil
 }
 
-// WorstAttack returns the most damaging k-node failure found for the
-// placement (see Avail for the budget semantics).
-func WorstAttack(pl *Placement, s, k int, budget int64) (AttackResult, error) {
-	return adversary.WorstCase(pl, s, k, budget)
-}
-
-// WorstAttackParallel is WorstAttack fanned out over worker goroutines
-// (workers <= 0 selects GOMAXPROCS); workers share the incumbent bound,
-// so exact searches often finish super-linearly faster on structured
-// placements.
-func WorstAttackParallel(pl *Placement, s, k int, budget int64, workers int) (AttackResult, error) {
-	return adversary.WorstCaseParallel(pl, s, k, budget, workers)
-}
-
-// LowerBoundSimple returns lbAvail_si(x, λ) (Lemma 2): a floor on
-// Avail(π) for any Simple(x, λ) placement of b objects.
-func LowerBoundSimple(b int64, k, s, x, lambda int) int64 {
-	return placement.LBAvailSimple(b, k, s, x, lambda)
-}
-
-// LowerBoundCombo returns lbAvail_co(⟨λx⟩) (Lemma 3).
-func LowerBoundCombo(b int64, k, s int, lambdas []int) int64 {
-	return placement.LBAvailCombo(b, k, s, lambdas)
+// Attack returns the most damaging failure of target t against pl —
+// Definition 1's adversary, generalized to failure domains. The zero
+// AttackOptions run an exact branch-and-bound; a positive Budget bounds
+// it (the result reports whether it stayed exact), Workers fans it out
+// with identical results, and ObjWeights scores lost weight instead of
+// lost objects.
+func Attack(pl *Placement, t Target, opts AttackOptions) (AttackResult, error) {
+	return adversary.Attack(pl, t, opts)
 }
 
 // PrAvail returns the number of objects probably available under Random
@@ -231,17 +174,11 @@ func UniformTopology(n, racks int) (*Topology, error) {
 	return topology.Uniform(n, racks)
 }
 
-// HierarchicalTopology spreads n nodes over zones×racksPerZone racks
-// grouped into zones.
-func HierarchicalTopology(n, zones, racksPerZone int) (*Topology, error) {
-	return topology.UniformHierarchy(n, zones, racksPerZone)
-}
-
 // TreeTopology builds a uniform failure hierarchy of any depth:
 // branching is the fan-out per level from the top down, so
 // TreeTopology(n, 2, 3, 4) is 2 regions × 3 zones × 4 racks. Use
-// Topology.Collapse(level) for the flat view of any level, and the At
-// functions below to attack one.
+// Topology.Collapse(level) for the flat view of any level, and a
+// Target's Level to attack one.
 func TreeTopology(n int, branching ...int) (*Topology, error) {
 	return topology.UniformTree(n, branching...)
 }
@@ -276,17 +213,6 @@ func DomainSpread(pl *Placement, topo *Topology) (SpreadStats, error) {
 	return placement.DomainSpread(pl, topo)
 }
 
-// CheckCaps decides whether the per-node replica loads can be relabeled
-// onto topo's physical slots without any domain's subtree exceeding its
-// replica cap, at any level. caps[level][di] caps domain di of that
-// level (negative = unlimited; nil caps uses the topology's own cap=
-// annotations). It returns either a witness assignment (node → leaf
-// domain) proving feasibility, or a human-readable pigeonhole
-// certificate naming the violated subtree — never both.
-func CheckCaps(topo *Topology, loads []int, caps [][]int) ([]int, *CapCertificate, error) {
-	return placement.CheckCaps(topo, loads, caps)
-}
-
 // ObjectWeights derives per-object weights from the topology's node
 // weights (an object inherits its hottest replica host's weight), the
 // vector weighted adversaries consume; nil on unweighted topologies.
@@ -299,133 +225,6 @@ func ObjectWeights(pl *Placement, topo *Topology) ([]int64, error) {
 // against.
 func SumWeights(w []int64, b int) int64 {
 	return placement.SumWeights(w, b)
-}
-
-// WorstDomainAttackWeighted is WorstDomainAttack scoring lost WEIGHT:
-// the adversary fails the d whole domains maximizing the failed
-// objects' total weight under w (nil = unit weights, reducing to
-// WorstDomainAttack). The result's Failed field is lost weight; pair it
-// with SumWeights for weighted availability.
-func WorstDomainAttackWeighted(pl *Placement, topo *Topology, s, d int, budget int64, w []int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{Budget: budget, ObjWeights: w})
-}
-
-// WorstAttackWeighted is WorstAttack scoring lost weight (see
-// WorstDomainAttackWeighted).
-func WorstAttackWeighted(pl *Placement, s, k int, budget int64, w []int64) (AttackResult, error) {
-	return adversary.WorstCaseWith(pl, s, k, adversary.SearchOpts{Budget: budget, ObjWeights: w})
-}
-
-// DomainAvail computes availability under the worst d whole-domain
-// failures (exact when budget <= 0), with its witnessing attack.
-func DomainAvail(pl *Placement, topo *Topology, s, d int, budget int64) (int, DomainAttackResult, error) {
-	return adversary.DomainAvail(pl, topo, s, d, budget)
-}
-
-// DomainAvailAt is DomainAvail with the adversary failing whole domains
-// of the given topology level (0 = top, LeafLevel = racks).
-func DomainAvailAt(pl *Placement, topo *Topology, level, s, d int, budget int64) (int, DomainAttackResult, error) {
-	return adversary.DomainAvailAt(pl, topo, level, s, d, budget)
-}
-
-// WorstDomainAttack returns the most damaging d-whole-domain failure
-// found (see DomainAvail for budget semantics).
-func WorstDomainAttack(pl *Placement, topo *Topology, s, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCase(pl, topo, s, d, budget)
-}
-
-// WorstDomainAttackAt is WorstDomainAttack against whole domains of the
-// given topology level — fail zones or regions instead of racks with no
-// other change; the search core is identical at every level.
-func WorstDomainAttackAt(pl *Placement, topo *Topology, level, s, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseAt(pl, topo, level, s, d, budget)
-}
-
-// WorstDomainAttackParallel is WorstDomainAttack fanned out over worker
-// goroutines (workers <= 0 selects GOMAXPROCS, 1 is exactly the serial
-// engine); workers share the incumbent bound and budget, so exact
-// searches return the same damage as the serial engine, faster — the
-// path to take once topologies reach hundreds of domains.
-func WorstDomainAttackParallel(pl *Placement, topo *Topology, s, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.DomainWorstCasePar(pl, topo, s, d, budget, workers)
-}
-
-// WorstDomainAttackParallelAt is WorstDomainAttackParallel against
-// whole domains of the given topology level.
-func WorstDomainAttackParallelAt(pl *Placement, topo *Topology, level, s, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseParAt(pl, topo, level, s, d, budget, workers)
-}
-
-// WorstConstrainedAttack returns the most damaging k-node failure
-// confined to at most d failure domains — the paper's adversary with a
-// correlation budget.
-func WorstConstrainedAttack(pl *Placement, topo *Topology, s, k, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCase(pl, topo, s, k, d, budget)
-}
-
-// WorstConstrainedAttackAt is WorstConstrainedAttack with the blast
-// radius counted in whole domains of the given topology level (k node
-// failures inside at most d zones, regions, ...).
-func WorstConstrainedAttackAt(pl *Placement, topo *Topology, level, s, k, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCaseAt(pl, topo, level, s, k, d, budget)
-}
-
-// WorstConstrainedAttackParallel is WorstConstrainedAttack with the
-// domain subsets sharded across worker goroutines (workers <= 0 selects
-// GOMAXPROCS, 1 is exactly the serial engine), sharing the incumbent
-// and budget.
-func WorstConstrainedAttackParallel(pl *Placement, topo *Topology, s, k, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCasePar(pl, topo, s, k, d, budget, workers)
-}
-
-// NewAttackSession opens an incremental node-level adversary session on
-// the placement: Move applies one replica move and returns the updated
-// worst k-node attack, Evaluate answers arbitrary placements (same →
-// memo, one move apart → CSR delta, otherwise one rebuild). Damage,
-// witness, and exactness always equal a cold WorstAttack on the same
-// placement; a chain of re-plans just gets them far cheaper.
-func NewAttackSession(pl *Placement, s, k int, opts AttackOptions) (*AttackSession, error) {
-	return adversary.NewNodeSession(pl, s, k, opts)
-}
-
-// NewDomainAttackSession is NewAttackSession against whole domains of
-// the given topology level (moves within one attack-level domain are
-// answered without searching — they cannot change the answer).
-func NewDomainAttackSession(pl *Placement, topo *Topology, level, s, d int, opts AttackOptions) (*AttackSession, error) {
-	return adversary.NewDomainSession(pl, topo, level, s, d, opts)
-}
-
-// NewController starts a continuous-operation reconcile loop on the
-// placement: Apply feeds it one topology mutation (drain/fail/restore/
-// weight/cap) and reconciles under the configured per-step move budget,
-// never letting worst-case damage exceed the step's pre-migration
-// guarantee; Step reconciles leftover work without a mutation. Moves
-// actuate through a two-phase machine journaled write-ahead to the
-// configured checkpoint — after a crash, LoadController + Recover rolls
-// the in-flight move forward or back.
-func NewController(pl *Placement, cfg ControllerConfig) (*Controller, error) {
-	return controller.New(pl, cfg)
-}
-
-// LoadController restarts a Controller from its fsync'd journal,
-// reattaching the given data plane; call Recover on the result to
-// resolve any in-flight move before applying new mutations.
-func LoadController(path string, act Actuator, opts ControllerOptions) (*Controller, error) {
-	return controller.Load(path, act, opts)
-}
-
-// NewMemActuator builds the in-memory reference data plane, started in
-// sync with pl — the strict-protocol oracle the controller tests prove
-// the no-leak property against.
-func NewMemActuator(pl *Placement) *controller.MemActuator {
-	return controller.NewMemActuator(pl)
-}
-
-// ParseMutationScript reads a mutation script ("drain 2", "fail 10",
-// "restore 2", "weight 7 3", "cap rack0 8"; # comments) into the
-// mutations a Controller consumes.
-func ParseMutationScript(r io.Reader) ([]TopologyMutation, error) {
-	return controller.ParseScript(r)
 }
 
 // NewCluster builds a simulated storage cluster (see ClusterConfig).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/placement"
 )
 
 func TestPlanMaterializeAttackRoundTrip(t *testing.T) {
@@ -70,15 +71,16 @@ func TestComboGuaranteeBeatsRandomEmpirically(t *testing.T) {
 }
 
 func TestBuildSimpleAndParallelAttack(t *testing.T) {
-	pl, err := repro.BuildSimple(13, 3, 1, 1, 26, repro.SimpleOptions{})
+	pl, err := placement.BuildSimple(13, 3, 1, 1, 26, placement.SimpleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := repro.WorstAttack(pl, 2, 3, 0)
+	target := repro.Target{S: 2, K: 3}
+	seq, err := repro.Attack(pl, target, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := repro.WorstAttackParallel(pl, 2, 3, 0, 2)
+	par, err := repro.Attack(pl, target, repro.AttackOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +93,11 @@ func TestBuildSimpleAndParallelAttack(t *testing.T) {
 }
 
 func TestLowerBoundsExposed(t *testing.T) {
-	if got := repro.LowerBoundSimple(600, 2, 2, 1, 1); got != 599 {
-		t.Errorf("LowerBoundSimple = %d, want 599", got)
+	if got := placement.LBAvailSimple(600, 2, 2, 1, 1); got != 599 {
+		t.Errorf("LBAvailSimple = %d, want 599", got)
 	}
-	if got := repro.LowerBoundCombo(100, 4, 2, []int{3, 2}); got != 82 {
-		t.Errorf("LowerBoundCombo = %d, want 82", got)
+	if got := placement.LBAvailCombo(100, 4, 2, []int{3, 2}); got != 82 {
+		t.Errorf("LBAvailCombo = %d, want 82", got)
 	}
 	pr, err := repro.PrAvail(repro.Params{N: 71, B: 600, R: 3, S: 2, K: 3})
 	if err != nil {
@@ -182,11 +184,12 @@ func TestMultiRegionFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < topo.Levels(); level++ {
-		obliv, err := repro.WorstDomainAttackAt(pl, topo, level, s, 1, 0)
+		target := repro.Target{S: s, D: 1, Topo: topo, Level: level}
+		obliv, err := repro.Attack(pl, target, repro.AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spreadRes, err := repro.WorstDomainAttackAt(aware, topo, level, s, 1, 0)
+		spreadRes, err := repro.Attack(aware, target, repro.AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +200,7 @@ func TestMultiRegionFacade(t *testing.T) {
 			t.Errorf("level %d: aware fails %d > oblivious %d", level, spreadRes.Failed, obliv.Failed)
 		}
 		// The parallel engine agrees with the serial one at every level.
-		par, err := repro.WorstDomainAttackParallelAt(pl, topo, level, s, 1, 0, 4)
+		par, err := repro.Attack(pl, target, repro.AttackOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +209,11 @@ func TestMultiRegionFacade(t *testing.T) {
 		}
 	}
 	// Constrained at region level: k nodes inside one region.
-	conRes, err := repro.WorstConstrainedAttackAt(aware, topo, 0, s, k, 1, 0)
+	conRes, err := repro.Attack(aware, repro.Target{S: s, K: k, D: 1, Topo: topo, Level: 0}, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := repro.WorstAttack(aware, s, k, 0)
+	free, err := repro.Attack(aware, repro.Target{S: s, K: k}, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +236,11 @@ func TestMultiRegionFacade(t *testing.T) {
 	if spreadStats.MinDomains < 1 {
 		t.Errorf("capped spread min domains = %d", spreadStats.MinDomains)
 	}
-	availAt, _, err := repro.DomainAvailAt(capped, topo, repro.LeafLevel, s, 1, 0)
+	rackRes, err := repro.Attack(capped, repro.Target{S: s, D: 1, Topo: topo, Level: repro.LeafLevel}, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if availAt < 0 || availAt > b {
-		t.Errorf("DomainAvailAt out of range: %d", availAt)
+	if avail := rackRes.Avail(b); avail < 0 || avail > b {
+		t.Errorf("rack-level Avail out of range: %d", avail)
 	}
 }
